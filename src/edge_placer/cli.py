@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -251,6 +252,10 @@ class _TraceRows:
     rejections: int
 
 
+_FLOAT_COLUMNS = ("response_time_s", "price_yen", "running_avg_response_s")
+_TIER_VALUES = {tier.value for tier in Tier}
+
+
 def _read_trace_csv(path: str) -> _TraceRows:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
@@ -270,12 +275,15 @@ def _read_trace_csv(path: str) -> _TraceRows:
                     rejections += 1
                     continue
                 try:
-                    record["response_time_s"] = float(record["response_time_s"])
-                    record["price_yen"] = float(record["price_yen"])
-                    record["running_avg_response_s"] = float(record["running_avg_response_s"])
+                    for column in _FLOAT_COLUMNS:
+                        record[column] = float(record[column])
                     record["index"] = int(record["index"])
                 except ValueError:
                     raise ScenarioError(f"{path}: row {total + 1} has non-numeric fields") from None
+                if not all(math.isfinite(record[column]) for column in _FLOAT_COLUMNS):
+                    raise ScenarioError(f"{path}: row {total + 1} has non-finite numbers")
+                if record["tier"] not in _TIER_VALUES:
+                    raise ScenarioError(f"{path}: row {total + 1} has unknown tier {record['tier']!r}")
                 placed.append(record)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None

@@ -8,15 +8,18 @@ requirement bound, per-device residual capacity, and per-link residual
 bandwidth.  The emitted model is infeasible exactly when the in-process
 solver finds no candidate, and its optimum equals the solver's objective
 otherwise, so an external ILP solver can cross-validate placements.
+
+Variables and coefficients come from the solver's cached per-topology
+candidate table (``solver.candidate_table``), so the exporter and the
+solver enumerate the same pairs with the same response times and prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Topology, root_path_sites, uplink_path
-from .pricing import CandidatePlacement, price, response_time
-from .solver import Bound, PlacementRequest, RequirementKind, ResidualState
+from .model import Topology
+from .solver import Bound, PlacementRequest, RequirementKind, ResidualState, candidate_table
 
 Term = tuple[str, float]  # variable name, coefficient
 
@@ -53,28 +56,18 @@ def build_ilp(
     inputs produce identical models.
     """
     app = request.app
-    candidates: list[tuple[str, CandidatePlacement]] = []
-    for site_id in root_path_sites(topology, request.input_node.id):
-        link_ids = uplink_path(topology, request.input_node.id, site_id)
-        path = tuple(topology.links[link_id] for link_id in link_ids)
-        for device_id in topology.sites[site_id].devices:
-            device = topology.devices[device_id]
-            variant = app.variant_for(device.device_class)
-            if variant is None:
-                continue
-            candidate = CandidatePlacement(app=app, variant=variant, device=device, path=path)
-            candidates.append((variable_name(device_id, variant.device_class), candidate))
-    candidates.sort(key=lambda item: (item[1].device.id, item[1].variant.device_class.value))
+    table = sorted(
+        candidate_table(topology, request.input_node, app),
+        key=lambda entry: (entry.device.id, entry.variant.device_class.value),
+    )
+    candidates = [(variable_name(e.device.id, e.variant.device_class), e) for e in table]
+    cost_cap = bound.kind is RequirementKind.COST_CAP
 
-    if bound.kind is RequirementKind.COST_CAP:
-        objective_of, bounded_by = response_time, price
-    else:
-        objective_of, bounded_by = price, response_time
-
-    objective = tuple((var, objective_of(c)) for var, c in candidates)
+    objective = tuple((var, e.response_time if cost_cap else e.price) for var, e in candidates)
     rows = [
         LpRow("assign", tuple((var, 1.0) for var, _ in candidates), "=", 1.0),
-        LpRow("bound", tuple((var, bounded_by(c)) for var, c in candidates), "<=", bound.value),
+        LpRow("bound", tuple((var, e.price if cost_cap else e.response_time) for var, e in candidates),
+              "<=", bound.value),
     ]
     for var, candidate in candidates:
         rows.append(

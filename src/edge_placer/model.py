@@ -7,7 +7,9 @@ be hosted at any site on that root path; the links between the input's
 user edge and the hosting site are the ones a placement occupies.
 
 Topologies are immutable after construction and safe to share across
-threads.
+threads.  Their only mutable part is a lazily filled cache of derived
+lookups (``uplink_by_child``, ``candidate_tables``); a race between
+threads only recomputes an identical entry.
 """
 
 from __future__ import annotations
@@ -112,6 +114,11 @@ class Topology:
     def uplink_by_child(self) -> Mapping[str, Link]:
         """Child site id -> its (unique) uplink."""
         return {link.child_site: link for link in self.links.values()}
+
+    @cached_property
+    def candidate_tables(self) -> dict:
+        """(user edge id, app) -> candidate table, filled by ``solver.candidate_table``."""
+        return {}
 
 
 @dataclass(frozen=True)

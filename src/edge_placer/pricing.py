@@ -13,6 +13,7 @@ maintained by the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,10 +45,10 @@ class AppVariant:
     resource_demand: float
 
     def __post_init__(self):
-        if self.processing_time <= 0:
-            raise ValidationError(f"{self.device_class.value} variant processing_time must be > 0")
-        if self.resource_demand <= 0:
-            raise ValidationError(f"{self.device_class.value} variant resource_demand must be > 0")
+        if not (math.isfinite(self.processing_time) and self.processing_time > 0):
+            raise ValidationError(f"{self.device_class.value} variant processing_time must be finite and > 0")
+        if not (math.isfinite(self.resource_demand) and self.resource_demand > 0):
+            raise ValidationError(f"{self.device_class.value} variant resource_demand must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ class AppType:
     variants: tuple[AppVariant, ...]
 
     def __post_init__(self):
-        if self.transfer_data_size < 0:
-            raise ValidationError(f"app {self.name!r}: transfer_data_size must be >= 0")
-        if self.bandwidth_demand <= 0:
-            raise ValidationError(f"app {self.name!r}: bandwidth_demand must be > 0")
+        if not (math.isfinite(self.transfer_data_size) and self.transfer_data_size >= 0):
+            raise ValidationError(f"app {self.name!r}: transfer_data_size must be finite and >= 0")
+        if not (math.isfinite(self.bandwidth_demand) and self.bandwidth_demand > 0):
+            raise ValidationError(f"app {self.name!r}: bandwidth_demand must be finite and > 0")
         if not self.variants:
             raise ValidationError(f"app {self.name!r}: needs at least one variant")
         classes = [v.device_class for v in self.variants]

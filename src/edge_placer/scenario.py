@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -293,6 +295,30 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def _refuse_non_finite(text: str):
+    raise ValueError(f"{text[:24]} is not a finite number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _refuse_non_finite(text)
+    return value
+
+
+def _float_range_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} digits is out of range")
+    return value
+
+
+# JSON values with NaN, Infinity and numbers beyond the float range refused.
+_VALUE_DECODER = json.JSONDecoder(
+    parse_constant=_refuse_non_finite, parse_float=_finite_float, parse_int=_float_range_int
+)
+
+
 def _parse_lines(text: str) -> _Doc:
     doc = _Doc()
     current: dict[str, tuple[Any, int]] | None = doc.top
@@ -324,9 +350,11 @@ def _parse_lines(text: str) -> _Doc:
             raise ScenarioError(f"expected 'key = value' or a section header, got {line!r}", lineno)
         key = key.strip()
         try:
-            value = json.loads(value_text.strip())
+            value = _VALUE_DECODER.decode(value_text.strip())
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid value for {key!r}: {exc.msg}", lineno) from None
+        except ValueError as exc:  # a non-finite or out-of-range number
+            raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
         if key in current:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         current[key] = (value, lineno)

@@ -8,18 +8,28 @@ minimizes price.  Requirements carry a ladder of bounds: the tightest
 bound that admits any candidate wins, and a request whose whole ladder
 fails is rejected (it consumes nothing).
 
+A candidate's response time and price depend only on (user edge, app,
+device), so each (user edge, app) candidate table is built once per
+topology and cached on it (``Topology.candidate_tables``); a scan per
+bound then only tests the bound and the residuals.  A race between
+threads sharing a topology only recomputes an identical table.
+
 Residual state is mutated strictly sequentially within one run; distinct
 runs own distinct states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     DeviceClass,
+    DeviceNode,
     InputNode,
+    Link,
     Tier,
     Topology,
     ValidationError,
@@ -29,8 +39,8 @@ from .model import (
 from .pricing import (
     TOLERANCE,
     AppType,
+    AppVariant,
     CandidatePlacement,
-    fits,
     price,
     response_time,
 )
@@ -57,8 +67,8 @@ class Requirement:
     def __post_init__(self):
         if not self.bounds:
             raise ValidationError("requirement needs at least one bound")
-        if any(b <= 0 for b in self.bounds):
-            raise ValidationError("requirement bounds must be > 0")
+        if not all(math.isfinite(b) and b > 0 for b in self.bounds):
+            raise ValidationError("requirement bounds must be finite and > 0")
         if any(a >= b for a, b in zip(self.bounds, self.bounds[1:])):
             raise ValidationError("requirement bounds must be strictly increasing")
 
@@ -122,6 +132,35 @@ class ResidualState:
         )
 
 
+class TableEntry(NamedTuple):
+    """One compatible (device, variant) pair with its static response time and price."""
+
+    device: DeviceNode
+    variant: AppVariant
+    path: tuple[Link, ...]
+    response_time: float
+    price: float
+
+
+def candidate_table(topology: Topology, input_node: InputNode, app: AppType) -> tuple[TableEntry, ...]:
+    """Every compatible pair on the input's root path, nearest site first; cached per topology."""
+    key = (input_node.attached_user_edge, app)
+    table = topology.candidate_tables.get(key)
+    if table is None:
+        entries = []
+        for site_id in root_path_sites(topology, input_node.id):
+            link_ids = uplink_path(topology, input_node.id, site_id)
+            path = tuple(topology.links[link_id] for link_id in link_ids)
+            for device_id in topology.sites[site_id].devices:
+                device = topology.devices[device_id]
+                variant = app.variant_for(device.device_class)
+                if variant is not None:
+                    candidate = CandidatePlacement(app=app, variant=variant, device=device, path=path)
+                    entries.append(TableEntry(device, variant, path, response_time(candidate), price(candidate)))
+        table = topology.candidate_tables[key] = tuple(entries)
+    return table
+
+
 def feasible_candidates(
     topology: Topology,
     state: ResidualState,
@@ -130,25 +169,19 @@ def feasible_candidates(
 ) -> list[CandidatePlacement]:
     """All candidates on the input's root path that fit residuals and the bound."""
     app = request.app
+    limit = bound.value + TOLERANCE
+    by_price = bound.kind is RequirementKind.COST_CAP
     candidates: list[CandidatePlacement] = []
-    for site_id in root_path_sites(topology, request.input_node.id):
-        site = topology.sites[site_id]
-        link_ids = uplink_path(topology, request.input_node.id, site_id)
-        path = tuple(topology.links[link_id] for link_id in link_ids)
-        for device_id in site.devices:
-            device = topology.devices[device_id]
-            variant = app.variant_for(device.device_class)
-            if variant is None:
-                continue
-            candidate = CandidatePlacement(app=app, variant=variant, device=device, path=path)
-            if not fits(candidate, state):
-                continue
-            if bound.kind is RequirementKind.COST_CAP:
-                if price(candidate) <= bound.value + TOLERANCE:
-                    candidates.append(candidate)
-            else:
-                if response_time(candidate) <= bound.value + TOLERANCE:
-                    candidates.append(candidate)
+    for device, variant, path, r, p in candidate_table(topology, request.input_node, app):
+        if not ((p if by_price else r) <= limit):  # also drops NaN
+            continue
+        if variant.resource_demand > state.device_remaining[device.id] + TOLERANCE:
+            continue
+        for link in path:
+            if app.bandwidth_demand > state.link_remaining[link.id] + TOLERANCE:
+                break
+        else:
+            candidates.append(CandidatePlacement(app=app, variant=variant, device=device, path=path))
     return candidates
 
 

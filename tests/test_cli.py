@@ -113,6 +113,25 @@ deadline_menus = {"only": [2.0]}
             assert second[header.index(column)] == ""
 
 
+    @pytest.mark.parametrize("old, new", [
+        ('"processing_time_s": 5.8', '"processing_time_s": NaN'),
+        ('"bandwidth_mbps": 30.0', '"bandwidth_mbps": NaN'),
+        ('"bandwidth_mbps": 30.0', '"bandwidth_mbps": 1e999'),
+    ])
+    def test_non_finite_scenario_exit_2(self, tmp_path, capsys, old, new):
+        text = serialize_scenario(paper_scenario())
+        line = next(n for n, row in enumerate(text.splitlines(), start=1) if old in row)
+        path = tmp_path / "non_finite.scn"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code = main(["run", "--scenario", str(path), "--pattern", "1", "--requests", "5",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line {line}:" in err and "not a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEmitLp:
     def test_first_request_pattern2_optimum(self, tmp_path):
         out = tmp_path / "first.lp"
@@ -223,6 +242,26 @@ class TestReport:
         path = tmp_path / "junk.csv"
         path.write_text("not,a,trace\n1,2,3\n", encoding="utf-8")
         assert main(["report", str(path)]) == 2
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("tier", "moon", "unknown tier 'moon'"),
+        ("response_time_s", "nan", "non-finite"),
+        ("price_yen", "inf", "non-finite"),
+    ])
+    def test_bad_row_exit_2(self, tmp_path, capsys, column, value, message):
+        main(["run", "--paper", "--pattern", "2", "--requests", "30", "--seed", "4", "--out", str(tmp_path)])
+        path = tmp_path / "trace_2.csv"
+        lines = read(path).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.endswith(",0"))
+        fields = lines[row].split(",")
+        fields[CSV_COLUMNS.index(column)] = value
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: row {row + 1} " in err and message in err
+        assert "Traceback" not in err
 
     def test_no_files_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

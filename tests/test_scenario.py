@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from edge_placer.model import DeviceClass, LinkSpec, Tier
+from edge_placer.model import DeviceClass, LinkSpec, Tier, ValidationError
 from edge_placer.pricing import AppType, AppVariant
 from edge_placer.scenario import (
     AppEntry,
@@ -16,6 +16,7 @@ from edge_placer.scenario import (
     serialize_scenario,
     validate_scenario,
 )
+from edge_placer.solver import Requirement, RequirementKind
 
 
 class TestPaperScenario:
@@ -255,6 +256,38 @@ class TestParseErrors:
         text = serialize_scenario(paper).replace('mix = {"NAS.FT": 3.0', 'mix = {"NOPE": 3.0')
         with pytest.raises(ScenarioError, match="unknown app|missing app"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "int-beyond-float"],
+    )
+    def test_non_finite_number_reports_line(self, paper, literal):
+        lines = serialize_scenario(paper).splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith("user_carrier = "))
+        lines[index] = lines[index].replace('"bandwidth_mbps": 30.0', f'"bandwidth_mbps": {literal}')
+        with pytest.raises(ScenarioError, match=rf"line {index + 1}: invalid value for 'user_carrier'"):
+            parse_scenario("\n".join(lines))
+
+    def test_non_finite_inside_nested_value(self, paper):
+        text = serialize_scenario(paper).replace('"processing_time_s": 5.8', '"processing_time_s": NaN')
+        with pytest.raises(ScenarioError, match="NaN is not a finite number"):
+            parse_scenario(text)
+
+    def test_dataclasses_refuse_non_finite(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in (nan, inf):
+            with pytest.raises(ValidationError, match="finite"):
+                AppVariant(DeviceClass.GPU, bad, 1.0)
+            with pytest.raises(ValidationError, match="finite"):
+                AppVariant(DeviceClass.GPU, 1.0, bad)
+            variant = AppVariant(DeviceClass.GPU, 1.0, 1.0)
+            with pytest.raises(ValidationError, match="finite"):
+                AppType("probe", bad, 1.0, (variant,))
+            with pytest.raises(ValidationError, match="finite"):
+                AppType("probe", 1.0, bad, (variant,))
+            with pytest.raises(ValidationError, match="finite"):
+                Requirement(RequirementKind.COST_CAP, (1.0, bad))
 
 
 class TestValidateScenario:

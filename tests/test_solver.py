@@ -12,7 +12,9 @@ from edge_placer.model import (
     ValidationError,
     build_topology,
 )
+from edge_placer.lp_export import build_ilp, variable_name
 from edge_placer.pricing import AppType, AppVariant
+from edge_placer.simulator import PatternKind, generate_requests
 from edge_placer.solver import (
     Bound,
     PlacementRequest,
@@ -20,6 +22,7 @@ from edge_placer.solver import (
     RequirementKind,
     ResidualState,
     apply_placement,
+    candidate_table,
     feasible_candidates,
     solve_request,
     solve_with_escalation,
@@ -186,8 +189,12 @@ class TestApplyPlacement:
 # --- randomized oracle ------------------------------------------------------
 
 
-def random_instance(rng):
-    """Small random topology (<= 12 devices), app, residuals, and bound."""
+def random_instance(rng, topology=None):
+    """Small random topology (<= 12 devices), app, residuals, and bound.
+
+    A given topology is reused as is, so that many random "probe" apps
+    share its candidate tables.
+    """
     classes = list(DeviceClass)
 
     def fleet():
@@ -199,16 +206,17 @@ def random_instance(rng):
                 )
         return tuple(entries)
 
-    users = rng.randint(1, 2)
-    spec = TopologySpec(
-        cloud=TierSpec(sites=1, fleet=fleet()),
-        carrier=TierSpec(sites=1, fleet=fleet()),
-        user=TierSpec(sites=users, fleet=fleet()),
-        input_nodes=users * rng.randint(1, 2),
-        user_carrier_link=LinkSpec(rng.uniform(1.0, 10.0), rng.uniform(0.0, 10000.0)),
-        carrier_cloud_link=LinkSpec(rng.uniform(1.0, 10.0), rng.uniform(0.0, 10000.0)),
-    )
-    topology = build_topology(spec)
+    if topology is None:
+        users = rng.randint(1, 2)
+        spec = TopologySpec(
+            cloud=TierSpec(sites=1, fleet=fleet()),
+            carrier=TierSpec(sites=1, fleet=fleet()),
+            user=TierSpec(sites=users, fleet=fleet()),
+            input_nodes=users * rng.randint(1, 2),
+            user_carrier_link=LinkSpec(rng.uniform(1.0, 10.0), rng.uniform(0.0, 10000.0)),
+            carrier_cloud_link=LinkSpec(rng.uniform(1.0, 10.0), rng.uniform(0.0, 10000.0)),
+        )
+        topology = build_topology(spec)
 
     variants = tuple(
         AppVariant(cls, rng.uniform(0.5, 30.0), rng.uniform(0.5, 25.0))
@@ -350,8 +358,6 @@ class TestProperties:
                 assert placement.response_time <= bound.value + TOL
 
     def test_variant_dominance_paper_runs_never_pick_cpu(self, paper_runs):
-        from edge_placer.simulator import PatternKind
-
         for pattern in PatternKind:
             trace = paper_runs.trace(pattern, 1)
             for outcome in trace.outcomes:
@@ -365,3 +371,140 @@ class TestProperties:
             Requirement(RequirementKind.COST_CAP, (2.0, 2.0))
         with pytest.raises(ValidationError):
             Requirement(RequirementKind.DEADLINE, (5.0, 3.0))
+
+
+# --- cached candidate tables --------------------------------------------------
+
+SHARED_SPEC = TopologySpec(
+    cloud=TierSpec(sites=1, fleet=(
+        FleetSpec(DeviceClass.CPU, 2, 100.0, 50000.0),
+        FleetSpec(DeviceClass.GPU, 2, 16.0, 100000.0),
+    )),
+    carrier=TierSpec(sites=1, fleet=(
+        FleetSpec(DeviceClass.GPU, 1, 8.0, 62500.0),
+        FleetSpec(DeviceClass.FPGA, 1, 100.0, 150000.0),
+    )),
+    user=TierSpec(sites=2, fleet=(FleetSpec(DeviceClass.GPU, 1, 4.0, 37500.0),)),
+    input_nodes=4,
+    user_carrier_link=LinkSpec(30.0, 5000.0),
+    carrier_cloud_link=LinkSpec(100.0, 8000.0),
+)
+
+
+def assert_matches_oracle(topology, state, request, bound):
+    placement = solve_request(topology, state, request, bound)
+    expected = oracle_solve(topology, state, request, bound)
+    if expected is None:
+        assert placement is None
+        return None
+    _, _, _, device_id, rt, pr = expected
+    assert placement is not None and placement.device_id == device_id
+    assert placement.response_time == pytest.approx(rt, abs=TOL)
+    assert placement.price == pytest.approx(pr, abs=TOL)
+    return placement
+
+
+def probe_request(app, input_node, bound):
+    return PlacementRequest(
+        id=1, app=app, input_node=input_node, requirement=Requirement(bound.kind, (bound.value,))
+    )
+
+
+class TestCandidateTable:
+    def test_same_name_apps_each_match_oracle(self):
+        topology = build_topology(SHARED_SPEC)
+        state = ResidualState.fresh(topology)
+        fast = AppType("probe", 0.2, 2.0, (AppVariant(DeviceClass.GPU, 2.0, 1.0),))
+        slow = AppType("probe", 0.2, 2.0, (
+            AppVariant(DeviceClass.GPU, 20.0, 1.0),
+            AppVariant(DeviceClass.CPU, 30.0, 50.0),
+        ))
+        bounds = (
+            Bound(RequirementKind.DEADLINE, 3.0),
+            Bound(RequirementKind.DEADLINE, 25.0),
+            Bound(RequirementKind.COST_CAP, 10000.0),
+            Bound(RequirementKind.COST_CAP, 1e6),
+        )
+        for app in (fast, slow, fast, slow):  # interleaved, so each reads a cached table
+            for input_node in topology.input_nodes.values():
+                for bound in bounds:
+                    assert_matches_oracle(topology, state, probe_request(app, input_node, bound), bound)
+        tight = bounds[0]
+        node = topology.input_nodes["input000"]
+        assert solve_request(topology, state, probe_request(fast, node, tight), tight) is not None
+        assert solve_request(topology, state, probe_request(slow, node, tight), tight) is None
+        assert {app for _, app in topology.candidate_tables} == {fast, slow}
+
+    def test_random_same_name_apps_on_shared_topology(self):
+        rng = random.Random(515)
+        topology = build_topology(SHARED_SPEC)
+        placed = 0
+        for _ in range(300):
+            _, state, request, bound = random_instance(rng, topology)
+            placed += assert_matches_oracle(topology, state, request, bound) is not None
+        assert placed > 50
+        assert len({app for _, app in topology.candidate_tables}) > 100
+
+    def test_answer_tracks_residuals(self, paper, paper_topology):
+        state = ResidualState.fresh(paper_topology)
+        request = request_for(paper, paper_topology, "NAS.FT", RequirementKind.COST_CAP, [7000.0])
+        bound = Bound(RequirementKind.COST_CAP, 7000.0)
+
+        def solve():
+            return assert_matches_oracle(paper_topology, state, request, bound)
+
+        assert solve().device_id == "cloud000_gpu00"
+        state.device_remaining["cloud000_gpu00"] = 0.0
+        assert solve().device_id == "cloud000_gpu01"
+        state.link_remaining["link_carrier000_cloud000"] = 1.0  # below NAS.FT's 2 Mbps
+        assert solve() is None
+        state.link_remaining["link_carrier000_cloud000"] = 100.0
+        state.device_remaining["cloud000_gpu00"] = 16.0
+        assert solve().device_id == "cloud000_gpu00"
+
+    def test_lp_binaries_are_the_compatible_pairs(self, paper, paper_topology):
+        state = ResidualState.fresh(paper_topology)
+        link_by_child = {l.child_site: l for l in paper_topology.links.values()}
+        for app_name, size in (("NAS.FT", 21), ("MRI-Q", 17)):
+            for input_id in ("input000", "input299"):
+                request = request_for(paper, paper_topology, app_name, RequirementKind.COST_CAP,
+                                      [7000.0], input_id=input_id)
+                sites = [request.input_node.attached_user_edge]
+                while sites[-1] in link_by_child:
+                    sites.append(link_by_child[sites[-1]].parent_site)
+                expected = {
+                    variable_name(device.id, variant.device_class)
+                    for device in paper_topology.devices.values()
+                    for variant in request.app.variants
+                    if device.site_id in sites and variant.device_class is device.device_class
+                }
+                table = candidate_table(paper_topology, request.input_node, request.app)
+                names = [variable_name(e.device.id, e.variant.device_class) for e in table]
+                model = build_ilp(paper_topology, state, request, Bound(RequirementKind.COST_CAP, 7000.0))
+                assert len(table) == size
+                assert set(model.binaries) == set(names) == expected
+                assert dict(model.objective) == {n: e.response_time for n, e in zip(names, table)}
+
+    @pytest.mark.parametrize("pattern", list(PatternKind))
+    def test_residual_conservation_after_every_placement(self, paper, pattern):
+        topology = build_topology(paper.topology_spec())
+        state = ResidualState.fresh(topology)
+        used_device = dict.fromkeys(topology.devices, 0.0)
+        used_link = dict.fromkeys(topology.links, 0.0)
+        for request in generate_requests(paper, pattern, 1000, 42, topology=topology):
+            outcome = solve_with_escalation(topology, state, request)
+            if not outcome.placed:
+                continue
+            placement = outcome.placement
+            apply_placement(state, placement)
+            used_device[placement.device_id] += placement.resource_demand
+            for link_id in placement.path_link_ids:
+                used_link[link_id] += placement.bandwidth_demand
+            drift = max(
+                max(abs(d.capacity - used_device[d.id] - state.device_remaining[d.id])
+                    for d in topology.devices.values()),
+                max(abs(l.bandwidth_capacity - used_link[l.id] - state.link_remaining[l.id])
+                    for l in topology.links.values()),
+            )
+            assert drift <= 1e-9, (request.id, drift)
+        assert state.placements
