@@ -168,9 +168,10 @@ def cmd_run(args) -> int:
             print(f"scenario error: {violation}", file=sys.stderr)
         return 2
     seed = _seed(args)
+    topology = build_topology(scenario.topology_spec())
     results = []
     for pattern in _patterns(args.pattern):
-        trace = run_simulation(scenario, pattern, args.requests, seed)
+        trace = run_simulation(scenario, pattern, args.requests, seed, topology=topology)
         results.append((pattern, trace))
 
     try:

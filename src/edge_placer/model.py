@@ -14,6 +14,7 @@ threads only recomputes an identical entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -117,7 +118,7 @@ class Topology:
 
     @cached_property
     def candidate_tables(self) -> dict:
-        """(user edge id, app) -> candidate table, filled by ``solver.candidate_table``."""
+        """(user edge id, app) -> ``solver.CandidateTable``, filled by the solver on first use."""
         return {}
 
 
@@ -175,8 +176,8 @@ def build_topology(spec: TopologySpec) -> Topology:
     topologies.
 
     Raises ValidationError when counts are not divisible for balanced
-    attachment or a fleet entry has non-positive capacity, negative cost,
-    or negative count.
+    attachment, a count is negative, a capacity or bandwidth is not finite
+    and > 0, or a cost is not finite and >= 0.
     """
     errors: list[str] = []
     _check_attachment(spec.carrier.sites, spec.cloud.sites, "carrier sites", "cloud sites", errors)
@@ -188,17 +189,17 @@ def build_topology(spec: TopologySpec) -> Topology:
         for entry in tier_spec.fleet:
             if entry.count < 0:
                 errors.append(f"{tier_name} {entry.device_class.value} server count is negative")
-            if entry.count > 0 and entry.capacity <= 0:
-                errors.append(f"{tier_name} {entry.device_class.value} capacity must be > 0")
-            if entry.count > 0 and entry.full_cost < 0:
-                errors.append(f"{tier_name} {entry.device_class.value} cost must be >= 0")
+            if entry.count > 0 and not (math.isfinite(entry.capacity) and entry.capacity > 0):
+                errors.append(f"{tier_name} {entry.device_class.value} capacity must be finite and > 0")
+            if entry.count > 0 and not (math.isfinite(entry.full_cost) and entry.full_cost >= 0):
+                errors.append(f"{tier_name} {entry.device_class.value} cost must be finite and >= 0")
     if spec.input_nodes < 0:
         errors.append("input node count is negative")
     for name, link in (("user-carrier", spec.user_carrier_link), ("carrier-cloud", spec.carrier_cloud_link)):
-        if link.bandwidth_capacity <= 0:
-            errors.append(f"{name} link bandwidth must be > 0")
-        if link.monthly_cost < 0:
-            errors.append(f"{name} link cost must be >= 0")
+        if not (math.isfinite(link.bandwidth_capacity) and link.bandwidth_capacity > 0):
+            errors.append(f"{name} link bandwidth must be finite and > 0")
+        if not (math.isfinite(link.monthly_cost) and link.monthly_cost >= 0):
+            errors.append(f"{name} link cost must be finite and >= 0")
     if errors:
         raise ValidationError("invalid topology spec: " + "; ".join(errors), errors)
 

@@ -12,6 +12,7 @@ yield identical traces.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -126,7 +127,7 @@ def generate_requests(
     stream: RequestStream = []
     for request_id in range(1, n + 1):
         u = rng.next_double()
-        entry = next(e for e, c in zip(scenario.apps, cumulative) if u < c)
+        entry = scenario.apps[bisect_right(cumulative, u)]
         input_id = input_ids[rng.next_below(len(input_ids))]
         if pattern is PatternKind.PATTERN1:
             menu = menus[entry.app.name]
@@ -145,9 +146,20 @@ def generate_requests(
     return stream
 
 
-def run_simulation(scenario: Scenario, pattern: PatternKind, n: int, seed: int) -> Trace:
-    """Place n seeded requests strictly in arrival order."""
-    topology = build_topology(scenario.topology_spec())
+def run_simulation(
+    scenario: Scenario,
+    pattern: PatternKind,
+    n: int,
+    seed: int,
+    topology: Topology | None = None,
+) -> Trace:
+    """Place n seeded requests strictly in arrival order.
+
+    A given topology must be the scenario's; sharing one across runs shares
+    its candidate tables, which do not depend on residual state.
+    """
+    if topology is None:
+        topology = build_topology(scenario.topology_spec())
     stream = generate_requests(scenario, pattern, n, seed, topology=topology)
     state = ResidualState.fresh(topology)
     outcomes = []

@@ -10,9 +10,14 @@ fails is rejected (it consumes nothing).
 
 A candidate's response time and price depend only on (user edge, app,
 device), so each (user edge, app) candidate table is built once per
-topology and cached on it (``Topology.candidate_tables``); a scan per
-bound then only tests the bound and the residuals.  A race between
-threads sharing a topology only recomputes an identical table.
+topology and cached on it (``Topology.candidate_tables``).  Per bound
+kind the table also keeps its entries sorted by that kind's bound
+metric.  A request's whole ladder is then one walk up that view
+(``solve_with_escalation`` hands the ladder to ``solve_request``, which
+scans once through ``feasible_candidates``): the first entry that fits
+the residuals fixes the tightest admitting bound, and the walk stops
+where the metric passes it.  A race between threads sharing a topology
+only recomputes an identical table or view.
 
 Residual state is mutated strictly sequentially within one run; distinct
 runs own distinct states.
@@ -21,8 +26,10 @@ runs own distinct states.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
@@ -55,6 +62,11 @@ class RequirementKind(Enum):
 class Bound:
     kind: RequirementKind
     value: float
+
+    @property
+    def bounds(self) -> tuple[float, ...]:
+        """A single bound is a one-bound ladder."""
+        return (self.value,)
 
 
 @dataclass(frozen=True)
@@ -133,8 +145,13 @@ class ResidualState:
 
 
 class TableEntry(NamedTuple):
-    """One compatible (device, variant) pair with its static response time and price."""
+    """One compatible (device, variant) pair with its static response time and price.
 
+    It carries the fields of a ``CandidatePlacement``, so the pricing
+    functions accept it as one.
+    """
+
+    app: AppType
     device: DeviceNode
     variant: AppVariant
     path: tuple[Link, ...]
@@ -142,8 +159,41 @@ class TableEntry(NamedTuple):
     price: float
 
 
-def candidate_table(topology: Topology, input_node: InputNode, app: AppType) -> tuple[TableEntry, ...]:
-    """Every compatible pair on the input's root path, nearest site first; cached per topology."""
+# The entry field each bound kind caps.
+_BOUND_METRIC = {
+    RequirementKind.COST_CAP: attrgetter("price"),
+    RequirementKind.DEADLINE: attrgetter("response_time"),
+}
+
+
+class CandidateTable:
+    """The nearest-first entries of one (user edge, app) pair, plus one sorted view per bound kind.
+
+    A view lists the entries in ascending order of the kind's bound metric
+    (ties keep nearest-first order) next to those metric values, so that a
+    bound admits a prefix that ``bisect`` finds.  Views are built on first
+    use of their kind.  Entries whose response time or price is not finite
+    (a transfer term that overflows) are left out of them: such a candidate
+    passes no bound or cannot be ranked, so it is never placed.
+    """
+
+    __slots__ = ("entries", "views")
+
+    def __init__(self, entries: tuple[TableEntry, ...]):
+        self.entries = entries
+        self.views: dict[RequirementKind, tuple[list[float], list[TableEntry]]] = {}
+
+    def view(self, kind: RequirementKind) -> tuple[list[float], list[TableEntry]]:
+        view = self.views.get(kind)
+        if view is None:
+            metric = _BOUND_METRIC[kind]
+            finite = (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
+            ordered = sorted(finite, key=metric)
+            view = self.views[kind] = ([metric(e) for e in ordered], ordered)
+        return view
+
+
+def _table(topology: Topology, input_node: InputNode, app: AppType) -> CandidateTable:
     key = (input_node.attached_user_edge, app)
     table = topology.candidate_tables.get(key)
     if table is None:
@@ -156,81 +206,105 @@ def candidate_table(topology: Topology, input_node: InputNode, app: AppType) -> 
                 variant = app.variant_for(device.device_class)
                 if variant is not None:
                     candidate = CandidatePlacement(app=app, variant=variant, device=device, path=path)
-                    entries.append(TableEntry(device, variant, path, response_time(candidate), price(candidate)))
-        table = topology.candidate_tables[key] = tuple(entries)
+                    entries.append(TableEntry(app, device, variant, path, response_time(candidate), price(candidate)))
+        table = topology.candidate_tables[key] = CandidateTable(tuple(entries))
     return table
+
+
+def candidate_table(topology: Topology, input_node: InputNode, app: AppType) -> tuple[TableEntry, ...]:
+    """Every compatible pair on the input's root path, nearest site first; cached per topology."""
+    return _table(topology, input_node, app).entries
+
+
+def _granted(bounds: tuple[float, ...], metric: float) -> float:
+    """The tightest bound of a ladder that admits ``metric``."""
+    return next(b for b in bounds if metric <= b + TOLERANCE)
 
 
 def feasible_candidates(
     topology: Topology,
     state: ResidualState,
     request: PlacementRequest,
-    bound: Bound,
-) -> list[CandidatePlacement]:
-    """All candidates on the input's root path that fit residuals and the bound."""
-    app = request.app
-    limit = bound.value + TOLERANCE
-    by_price = bound.kind is RequirementKind.COST_CAP
-    candidates: list[CandidatePlacement] = []
-    for device, variant, path, r, p in candidate_table(topology, request.input_node, app):
-        if not ((p if by_price else r) <= limit):  # also drops NaN
+    bound: Bound | Requirement,
+) -> list[TableEntry]:
+    """The candidates that fit residuals under the tightest admitting bound of a ladder.
+
+    ``bound`` is a ``Requirement`` or a single ``Bound``.  One walk over the
+    kind's sorted view, up to the loosest bound: the first entry that fits
+    the residuals has the smallest metric of all fitting entries, so it
+    fixes the tightest admitting bound (the first ``b`` with
+    ``metric <= b + TOLERANCE``), and the walk stops where the metric
+    passes that bound.  Listed in ascending order of the bound metric;
+    empty when nothing fits at any bound.
+    """
+    bounds = bound.bounds
+    metrics, ordered = _table(topology, request.input_node, request.app).view(bound.kind)
+    device_remaining = state.device_remaining
+    link_remaining = state.link_remaining
+    bandwidth = request.app.bandwidth_demand
+    admitted: list[TableEntry] = []
+    i, stop = 0, bisect_right(metrics, bounds[-1] + TOLERANCE)
+    while i < stop:
+        entry = ordered[i]
+        i += 1
+        if entry.variant.resource_demand > device_remaining[entry.device.id] + TOLERANCE:
             continue
-        if variant.resource_demand > state.device_remaining[device.id] + TOLERANCE:
-            continue
-        for link in path:
-            if app.bandwidth_demand > state.link_remaining[link.id] + TOLERANCE:
+        for link in entry.path:
+            if bandwidth > link_remaining[link.id] + TOLERANCE:
                 break
         else:
-            candidates.append(CandidatePlacement(app=app, variant=variant, device=device, path=path))
-    return candidates
+            if not admitted:
+                stop = bisect_right(metrics, _granted(bounds, metrics[i - 1]) + TOLERANCE, i, stop)
+            admitted.append(entry)
+    return admitted
 
 
-def _select(candidates: list[CandidatePlacement], bound: Bound) -> tuple[CandidatePlacement, float, float]:
-    """Deterministic argmin over candidates.
+def _select(entries: list[TableEntry], kind: RequirementKind) -> TableEntry:
+    """Deterministic argmin over admitted entries.
 
     Primary metric per bound kind, ties within TOLERANCE broken by the
     secondary metric, then by tier closest to the user, then by smallest
     device id.
     """
-    scored = []
-    for candidate in candidates:
-        r = response_time(candidate)
-        p = price(candidate)
-        primary, secondary = (r, p) if bound.kind is RequirementKind.COST_CAP else (p, r)
-        scored.append((primary, secondary, candidate, r, p))
-
+    if kind is RequirementKind.COST_CAP:
+        scored = [(e.response_time, e.price, e) for e in entries]
+    else:
+        scored = [(e.price, e.response_time, e) for e in entries]
     best_primary = min(s[0] for s in scored)
     scored = [s for s in scored if s[0] <= best_primary + TOLERANCE]
     best_secondary = min(s[1] for s in scored)
     scored = [s for s in scored if s[1] <= best_secondary + TOLERANCE]
-    _, _, candidate, r, p = min(
-        scored, key=lambda s: (s[2].device.tier.distance_from_user, s[2].device.id)
-    )
-    return candidate, r, p
+    return min(scored, key=lambda s: (s[2].device.tier.distance_from_user, s[2].device.id))[2]
 
 
 def solve_request(
     topology: Topology,
     state: ResidualState,
     request: PlacementRequest,
-    bound: Bound,
+    bound: Bound | Requirement,
 ) -> Placement | None:
-    """Optimal placement for one request under one bound, or None when infeasible."""
-    candidates = feasible_candidates(topology, state, request, bound)
-    if not candidates:
+    """Optimal placement under the tightest admitting bound of a ladder, or None.
+
+    ``bound`` is a ``Requirement`` or a single ``Bound``; the placement's
+    ``granted_bound`` is the ladder value that admitted it.
+    """
+    entries = feasible_candidates(topology, state, request, bound)
+    if not entries:
         return None
-    candidate, r, p = _select(candidates, bound)
+    kind = bound.kind
+    granted = _granted(bound.bounds, _BOUND_METRIC[kind](entries[0]))
+    _, device, variant, path, r, p = _select(entries, kind)
     return Placement(
         request_id=request.id,
-        device_id=candidate.device.id,
-        tier=candidate.device.tier,
-        variant_class=candidate.variant.device_class,
-        path_link_ids=tuple(link.id for link in candidate.path),
+        device_id=device.id,
+        tier=device.tier,
+        variant_class=variant.device_class,
+        path_link_ids=tuple(link.id for link in path),
         response_time=r,
         price=p,
-        granted_bound=bound,
-        resource_demand=candidate.variant.resource_demand,
-        bandwidth_demand=candidate.app.bandwidth_demand,
+        granted_bound=Bound(kind, granted),
+        resource_demand=variant.resource_demand,
+        bandwidth_demand=request.app.bandwidth_demand,
     )
 
 
@@ -240,11 +314,7 @@ def solve_with_escalation(
     request: PlacementRequest,
 ) -> RequestOutcome:
     """Try the requirement's bounds tightest-first; first admitting bound wins."""
-    for bound in request.requirement.ladder():
-        placement = solve_request(topology, state, request, bound)
-        if placement is not None:
-            return RequestOutcome(request=request, placement=placement)
-    return RequestOutcome(request=request, placement=None)
+    return RequestOutcome(request, solve_request(topology, state, request, request.requirement))
 
 
 def apply_placement(state: ResidualState, placement: Placement) -> None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from edge_placer.model import (
@@ -85,6 +87,27 @@ class TestBuildTopology:
             carrier_cloud_link=spec.carrier_cloud_link,
         )
         with pytest.raises(ValidationError, match="cost"):
+            build_topology(bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field, match", [
+        ("capacity", "capacity"),
+        ("full_cost", "cost"),
+        ("bandwidth_capacity", "bandwidth"),
+        ("monthly_cost", "link cost"),
+    ])
+    def test_non_finite_spec_rejected(self, field, match, value):
+        spec = make_spec()
+        fleet = FleetSpec(DeviceClass.CPU, 1, 10.0, 1000.0)
+        link = LinkSpec(30.0, 5000.0)
+        if field in ("capacity", "full_cost"):
+            fleet = dataclasses.replace(fleet, **{field: value})
+        else:
+            link = dataclasses.replace(link, **{field: value})
+        bad = dataclasses.replace(
+            spec, carrier=TierSpec(sites=1, fleet=(fleet,)), user_carrier_link=link
+        )
+        with pytest.raises(ValidationError, match=f"{match} must be finite"):
             build_topology(bad)
 
     def test_balanced_attachment(self, paper_topology):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -135,6 +136,22 @@ class TestEscalation:
         outcome = solve_with_escalation(paper_topology, state, request)
         assert not outcome.placed
         assert outcome.rejection_reason == "no-feasible-candidate"
+
+    @pytest.mark.parametrize("kind", list(RequirementKind))
+    def test_non_finite_candidates_never_placed(self, paper_topology, kind):
+        # The per-link transfer term overflows: user-edge response time is
+        # 0 * inf = NaN, carrier and cloud ones are inf; prices stay finite.
+        huge = AppType("huge", 1e308, 0.5, tuple(AppVariant(cls, 1.0, 1.0) for cls in DeviceClass))
+        request = PlacementRequest(
+            id=1,
+            app=huge,
+            input_node=paper_topology.input_nodes["input000"],
+            requirement=Requirement(kind, (1.0, 1e300)),
+        )
+        state = ResidualState.fresh(paper_topology)
+        outcome = solve_with_escalation(paper_topology, state, request)
+        assert not outcome.placed
+        assert feasible_candidates(paper_topology, state, request, Bound(kind, 1e300)) == []
 
 
 class TestApplyPlacement:
@@ -508,3 +525,124 @@ class TestCandidateTable:
             )
             assert drift <= 1e-9, (request.id, drift)
         assert state.placements
+
+
+# --- ladder escalation against the oracle ----------------------------------------
+
+
+def tie_topology(rng):
+    """The same fleet on every tier and free links.
+
+    Processing times, and so response times of apps that move no data,
+    are equal across tiers.  Prices are equal too unless the tiers' device
+    costs are scaled apart.
+    """
+    fleet = tuple(
+        FleetSpec(cls, rng.randint(1, 2), rng.uniform(1.0, 20.0), rng.uniform(0.0, 50000.0))
+        for cls in DeviceClass
+        if rng.random() < 0.7
+    ) or (FleetSpec(DeviceClass.CPU, 1, 10.0, 1000.0),)
+
+    def tier_fleet():
+        if rng.random() < 0.5:
+            return fleet
+        scale = rng.uniform(0.5, 2.0)
+        return tuple(dataclasses.replace(entry, full_cost=entry.full_cost * scale) for entry in fleet)
+
+    users = rng.randint(1, 2)
+    link = LinkSpec(rng.uniform(1.0, 10.0), 0.0)
+    return build_topology(TopologySpec(
+        cloud=TierSpec(sites=1, fleet=tier_fleet()),
+        carrier=TierSpec(sites=1, fleet=tier_fleet()),
+        user=TierSpec(sites=users, fleet=tier_fleet()),
+        input_nodes=users,
+        user_carrier_link=link,
+        carrier_cloud_link=link,
+    ))
+
+
+def bound_metric(kind, entry):
+    return entry.price if kind is RequirementKind.COST_CAP else entry.response_time
+
+
+def random_ladder(rng, kind, table):
+    """1-4 strictly increasing bounds, most of them at a candidate's metric.
+
+    Offsets of +-0.5e-9 fall inside the tolerance window, -2e-9 falls
+    outside it and +2e-9 admits the candidate outright.
+    """
+    values = set()
+    for _ in range(rng.randint(1, 4)):
+        if table and rng.random() < 0.75:
+            offset = rng.choice((-2e-9, -0.5e-9, 0.0, 0.5e-9, 2e-9))
+            values.add(bound_metric(kind, rng.choice(table)) + offset)
+        elif kind is RequirementKind.COST_CAP:
+            values.add(rng.uniform(100.0, 40000.0))
+        else:
+            values.add(rng.uniform(0.5, 40.0))
+    return tuple(sorted(v for v in values if v > 0)) or (1.0,)
+
+
+def ladder_instance(rng):
+    if rng.random() < 0.3:
+        topology, state, request, bound = random_instance(rng, tie_topology(rng))
+        if rng.random() < 0.5:  # equal response times across tiers too
+            request = dataclasses.replace(
+                request, app=dataclasses.replace(request.app, transfer_data_size=0.0)
+            )
+    else:
+        topology, state, request, bound = random_instance(rng)
+    table = candidate_table(topology, request.input_node, request.app)
+    requirement = Requirement(bound.kind, random_ladder(rng, bound.kind, table))
+    return topology, state, dataclasses.replace(request, requirement=requirement)
+
+
+class TestLadderOracle:
+    def test_escalation_equals_first_oracle_feasible_bound(self):
+        rng = random.Random(8080)
+        placed = escalated = rejected = tier_ties = in_window = 0
+        for trial in range(1500):
+            topology, state, request = ladder_instance(rng)
+            kind = request.requirement.kind
+            expected = None
+            for value in request.requirement.bounds:
+                best = oracle_solve(topology, state, request, Bound(kind, value))
+                if best is not None:
+                    expected = (value, best)
+                    break
+            outcome = solve_with_escalation(topology, state, request)
+            if expected is None:
+                assert not outcome.placed, trial
+                rejected += 1
+                continue
+            value, (_, _, _, device_id, rt, pr) = expected
+            placement = outcome.placement
+            assert placement is not None, trial
+            assert placement.device_id == device_id, trial
+            assert placement.granted_bound == Bound(kind, value), trial
+            assert placement.response_time == pytest.approx(rt, abs=TOL), trial
+            assert placement.price == pytest.approx(pr, abs=TOL), trial
+            placed += 1
+            escalated += value != request.requirement.bounds[0]
+            in_window += bound_metric(kind, placement) > value  # admitted by the tolerance only
+            entries = {e.device: e for e in candidate_table(topology, request.input_node, request.app)}
+            tiers_by_objective = {}
+            for candidate in feasible_candidates(topology, state, request, placement.granted_bound):
+                entry = entries[candidate.device]
+                objective = entry.response_time if kind is RequirementKind.COST_CAP else entry.price
+                tiers_by_objective.setdefault(objective, set()).add(entry.device.tier)
+            tier_ties += any(len(tiers) > 1 for tiers in tiers_by_objective.values())
+        assert placed > 500 and escalated > 100 and rejected > 100
+        assert tier_ties > 20 and in_window > 20
+
+    def test_sorted_views_are_permutations_of_the_table(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            topology, state, request = ladder_instance(rng)
+            solve_with_escalation(topology, state, request)
+            key = (request.input_node.attached_user_edge, request.app)
+            table = candidate_table(topology, request.input_node, request.app)
+            for kind in RequirementKind:
+                metrics, ordered = topology.candidate_tables[key].view(kind)
+                assert sorted(ordered, key=id) == sorted(table, key=id)
+                assert metrics == [bound_metric(kind, e) for e in ordered] == sorted(metrics)
