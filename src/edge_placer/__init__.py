@@ -17,7 +17,6 @@ from .model import (
     build_topology,
     root_path_sites,
     uplink_path,
-    validate_topology,
 )
 from .pricing import (
     TOLERANCE,

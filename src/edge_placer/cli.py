@@ -43,7 +43,6 @@ from .simulator import (
     generate_requests,
     run_simulation,
 )
-from .solver import ResidualState, apply_placement, solve_with_escalation
 
 CSV_COLUMNS = [
     "index",
@@ -205,8 +204,7 @@ def cmd_emit_lp(args) -> int:
     if args.request_index < 1:
         print(f"request index {args.request_index} is out of range", file=sys.stderr)
         return 2
-    stream = generate_requests(scenario, pattern, args.request_index, seed, topology=topology)
-    target = stream[-1]
+    target = generate_requests(scenario, pattern, args.request_index, seed, topology=topology)[-1]
     ladder = target.requirement.ladder()
     if not 0 <= args.bound_index < len(ladder):
         print(
@@ -215,12 +213,7 @@ def cmd_emit_lp(args) -> int:
         )
         return 2
 
-    state = ResidualState.fresh(topology)
-    for request in stream[:-1]:
-        outcome = solve_with_escalation(topology, state, request)
-        if outcome.placed:
-            apply_placement(state, outcome.placement)
-
+    state = run_simulation(scenario, pattern, args.request_index - 1, seed, topology=topology).final_state
     model = build_ilp(topology, state, target, ladder[args.bound_index])
     if not model.binaries:
         print("warning: no compatible device exists; emitting an infeasible model", file=sys.stderr)
@@ -250,7 +243,6 @@ def cmd_validate(args) -> int:
 class _TraceRows:
     placed: list[dict]
     total: int
-    rejections: int
 
 
 _FLOAT_COLUMNS = ("response_time_s", "price_yen", "running_avg_response_s")
@@ -266,14 +258,12 @@ def _read_trace_csv(path: str) -> _TraceRows:
                 raise ScenarioError(f"{path}: unexpected or missing CSV header")
             placed = []
             total = 0
-            rejections = 0
             for row in reader:
                 if len(row) != len(CSV_COLUMNS):
                     raise ScenarioError(f"{path}: row {total + 2} has {len(row)} fields")
                 record = dict(zip(CSV_COLUMNS, row))
                 total += 1
                 if record["rejected"] == "1":
-                    rejections += 1
                     continue
                 try:
                     for column in _FLOAT_COLUMNS:
@@ -288,14 +278,14 @@ def _read_trace_csv(path: str) -> _TraceRows:
                 placed.append(record)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
-    return _TraceRows(placed=placed, total=total, rejections=rejections)
+    return _TraceRows(placed=placed, total=total)
 
 
 def cmd_report(args) -> int:
     mismatches = 0
     for path in args.traces:
         rows = _read_trace_csv(path)
-        print(f"\n## {path}: {rows.total} requests, {len(rows.placed)} placed, {rows.rejections} rejected")
+        print(f"\n## {path}: {rows.total} requests, {len(rows.placed)} placed, {rows.total - len(rows.placed)} rejected")
         response_sum = 0.0
         recomputed = []
         for i, record in enumerate(rows.placed, start=1):

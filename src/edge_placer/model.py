@@ -24,10 +24,6 @@ from typing import Mapping
 class ValidationError(ValueError):
     """A domain invariant or construction precondition was violated."""
 
-    def __init__(self, message: str, violations: list[str] | None = None):
-        super().__init__(message)
-        self.violations = list(violations or [])
-
 
 class Tier(Enum):
     USER_EDGE = "user"
@@ -41,9 +37,6 @@ class Tier(Enum):
 
 
 _TIER_DISTANCE = {Tier.USER_EDGE: 0, Tier.CARRIER_EDGE: 1, Tier.CLOUD: 2}
-
-# Child tier -> required parent tier for any uplink.
-_UPLINK_PARENT = {Tier.USER_EDGE: Tier.CARRIER_EDGE, Tier.CARRIER_EDGE: Tier.CLOUD}
 
 
 class DeviceClass(Enum):
@@ -154,17 +147,29 @@ class TopologySpec:
     carrier_cloud_link: LinkSpec
 
 
-def _check_attachment(child_count: int, parent_count: int, child_name: str,
-                      parent_name: str, errors: list[str]) -> None:
-    if child_count == 0:
-        return
-    if parent_count == 0:
-        errors.append(f"{child_count} {child_name} but no {parent_name} to attach to")
-    elif child_count % parent_count != 0:
-        errors.append(
-            f"{child_name} count {child_count} not divisible by "
-            f"{parent_name} count {parent_count}; balanced attachment impossible"
-        )
+def attachment_errors(cloud_sites: int, carrier_sites: int, user_sites: int, input_nodes: int) -> list[str]:
+    """Why the counts cannot attach in balanced blocks; empty when they can.
+
+    Every non-empty child tier needs a parent tier whose count divides its
+    own: carrier sites by cloud sites, user sites by carrier sites, input
+    nodes by user sites.
+    """
+    errors: list[str] = []
+    for child_count, parent_count, child_name, parent_name in (
+        (carrier_sites, cloud_sites, "carrier sites", "cloud sites"),
+        (user_sites, carrier_sites, "user sites", "carrier sites"),
+        (input_nodes, user_sites, "input nodes", "user sites"),
+    ):
+        if child_count == 0:
+            continue
+        if parent_count == 0:
+            errors.append(f"{child_count} {child_name} but no {parent_name} to attach to")
+        elif child_count % parent_count != 0:
+            errors.append(
+                f"{child_name} count {child_count} not divisible by "
+                f"{parent_name} count {parent_count}; balanced attachment impossible"
+            )
+    return errors
 
 
 def build_topology(spec: TopologySpec) -> Topology:
@@ -179,10 +184,7 @@ def build_topology(spec: TopologySpec) -> Topology:
     attachment, a count is negative, a capacity or bandwidth is not finite
     and > 0, or a cost is not finite and >= 0.
     """
-    errors: list[str] = []
-    _check_attachment(spec.carrier.sites, spec.cloud.sites, "carrier sites", "cloud sites", errors)
-    _check_attachment(spec.user.sites, spec.carrier.sites, "user sites", "carrier sites", errors)
-    _check_attachment(spec.input_nodes, spec.user.sites, "input nodes", "user sites", errors)
+    errors = attachment_errors(spec.cloud.sites, spec.carrier.sites, spec.user.sites, spec.input_nodes)
     for tier_name, tier_spec in (("cloud", spec.cloud), ("carrier", spec.carrier), ("user", spec.user)):
         if tier_spec.sites < 0:
             errors.append(f"{tier_name} site count is negative")
@@ -201,7 +203,7 @@ def build_topology(spec: TopologySpec) -> Topology:
         if not (math.isfinite(link.monthly_cost) and link.monthly_cost >= 0):
             errors.append(f"{name} link cost must be finite and >= 0")
     if errors:
-        raise ValidationError("invalid topology spec: " + "; ".join(errors), errors)
+        raise ValidationError("invalid topology spec: " + "; ".join(errors))
 
     sites: dict[str, Site] = {}
     devices: dict[str, DeviceNode] = {}
@@ -290,84 +292,3 @@ def uplink_path(topology: Topology, input_node_id: str, site_id: str) -> list[st
         current = link.parent_site
     return path
 
-
-def validate_topology(topology: Topology) -> list[str]:
-    """Check every topology invariant; returns violations (empty when valid)."""
-    violations: list[str] = []
-
-    for key, site in topology.sites.items():
-        if key != site.id:
-            violations.append(f"site key {key!r} does not match id {site.id!r}")
-    for key, link in topology.links.items():
-        if key != link.id:
-            violations.append(f"link key {key!r} does not match id {link.id!r}")
-    for key, node in topology.input_nodes.items():
-        if key != node.id:
-            violations.append(f"input key {key!r} does not match id {node.id!r}")
-    for key, dev in topology.devices.items():
-        if key != dev.id:
-            violations.append(f"device key {key!r} does not match id {dev.id!r}")
-
-    # Device attachment: exactly one site must list each device.
-    listed_by: dict[str, list[str]] = {}
-    for site in topology.sites.values():
-        for device_id in site.devices:
-            listed_by.setdefault(device_id, []).append(site.id)
-    for device_id, owners in listed_by.items():
-        if device_id not in topology.devices:
-            violations.append(f"site {owners[0]!r} lists unknown device {device_id!r}")
-        elif len(owners) > 1:
-            violations.append(f"device {device_id!r} attached to multiple sites: {owners}")
-    for dev in topology.devices.values():
-        owners = listed_by.get(dev.id, [])
-        if not owners:
-            violations.append(f"device {dev.id!r} not listed by any site")
-        elif len(owners) == 1:
-            site = topology.sites.get(owners[0])
-            if dev.site_id != owners[0]:
-                violations.append(
-                    f"device {dev.id!r} has site_id {dev.site_id!r} but is listed by {owners[0]!r}"
-                )
-            elif site is not None and dev.tier != site.tier:
-                violations.append(f"device {dev.id!r} tier differs from site {site.id!r} tier")
-        if dev.capacity <= 0:
-            violations.append(f"device {dev.id!r} capacity must be > 0")
-        if dev.full_cost < 0:
-            violations.append(f"device {dev.id!r} cost must be >= 0")
-
-    uplink_count: dict[str, int] = {}
-    for link in topology.links.values():
-        child = topology.sites.get(link.child_site)
-        parent = topology.sites.get(link.parent_site)
-        if child is None or parent is None:
-            violations.append(f"link {link.id!r} references unknown site")
-            continue
-        expected_parent = _UPLINK_PARENT.get(child.tier)
-        if expected_parent is None:
-            violations.append(f"link {link.id!r} has a cloud site as child")
-            continue
-        if parent.tier != expected_parent:
-            violations.append(
-                f"link {link.id!r} parent tier {parent.tier.value} is not {expected_parent.value}"
-            )
-        uplink_count[link.child_site] = uplink_count.get(link.child_site, 0) + 1
-        if link.bandwidth_capacity <= 0:
-            violations.append(f"link {link.id!r} bandwidth must be > 0")
-        if link.monthly_cost < 0:
-            violations.append(f"link {link.id!r} cost must be >= 0")
-
-    for site in topology.sites.values():
-        if site.tier is Tier.CLOUD:
-            continue
-        count = uplink_count.get(site.id, 0)
-        if count != 1:
-            violations.append(f"site {site.id!r} has {count} uplinks, expected exactly 1")
-
-    for node in topology.input_nodes.values():
-        site = topology.sites.get(node.attached_user_edge)
-        if site is None:
-            violations.append(f"input {node.id!r} attached to unknown site {node.attached_user_edge!r}")
-        elif site.tier is not Tier.USER_EDGE:
-            violations.append(f"input {node.id!r} attached to non-user-edge site {site.id!r}")
-
-    return violations

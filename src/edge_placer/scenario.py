@@ -37,6 +37,8 @@ from .model import (
     Tier,
     TierSpec,
     TopologySpec,
+    ValidationError,
+    attachment_errors,
 )
 from .pricing import AppType, AppVariant
 
@@ -96,11 +98,8 @@ class Scenario:
 
     def device_full_cost(self, tier: Tier, device_class: DeviceClass) -> float:
         """Monthly cost of one whole device of that class at that tier."""
-        if self.flat_server_pricing:
-            reference_capacity = self.cloud.capacity[device_class]
-            return self.unit_price[device_class] * reference_capacity * self.tier_multiplier(tier)
-        capacity = self.tier_plan(tier).capacity[device_class]
-        return self.unit_price[device_class] * capacity * self.tier_multiplier(tier)
+        plan = self.cloud if self.flat_server_pricing else self.tier_plan(tier)
+        return self.unit_price[device_class] * plan.capacity[device_class] * self.tier_multiplier(tier)
 
     def topology_spec(self) -> TopologySpec:
         def tier_spec(tier: Tier) -> TierSpec:
@@ -313,9 +312,20 @@ def _float_range_int(text: str) -> int:
     return value
 
 
-# JSON values with NaN, Infinity and numbers beyond the float range refused.
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# JSON values with NaN, Infinity, numbers beyond the float range and
+# repeated object keys refused.
 _VALUE_DECODER = json.JSONDecoder(
-    parse_constant=_refuse_non_finite, parse_float=_finite_float, parse_int=_float_range_int
+    parse_constant=_refuse_non_finite, parse_float=_finite_float, parse_int=_float_range_int,
+    object_pairs_hook=_unique_keys,
 )
 
 
@@ -353,12 +363,19 @@ def _parse_lines(text: str) -> _Doc:
             value = _VALUE_DECODER.decode(value_text.strip())
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid value for {key!r}: {exc.msg}", lineno) from None
-        except ValueError as exc:  # a non-finite or out-of-range number
+        except ValueError as exc:  # a non-finite or out-of-range number, or a repeated key
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
         if key in current:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         current[key] = (value, lineno)
     return doc
+
+
+def _number(value: Any, kind: type, what: str, line: int):
+    """``value`` as ``kind`` (int or float); booleans and other JSON types are refused."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ScenarioError(f"{what} must be {'an integer' if kind is int else 'a number'}", line)
+    return kind(value)
 
 
 class _SectionReader:
@@ -368,22 +385,15 @@ class _SectionReader:
         self.line = line
         self.seen: set[str] = set()
 
-    def take(self, key: str, kind: type | tuple[type, ...]):
+    def take(self, key: str, kind: type):
         if key not in self.data:
             raise ScenarioError(f"[{self.name}] is missing key {key!r}", self.line or None)
         self.seen.add(key)
         value, line = self.data[key]
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScenarioError(f"{key!r} must be a number", line)
-            return float(value), line
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"{key!r} must be an integer", line)
-            return value, line
+        if kind in (int, float):
+            return _number(value, kind, repr(key), line), line
         if not isinstance(value, kind):
-            kind_name = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-            raise ScenarioError(f"{key!r} must be a {kind_name}", line)
+            raise ScenarioError(f"{key!r} must be a {kind.__name__}", line)
         return value, line
 
     def finish(self):
@@ -392,8 +402,7 @@ class _SectionReader:
                 raise ScenarioError(f"unknown key {key!r} in [{self.name}]", line)
 
 
-def _class_map(reader: _SectionReader, key: str, kind: type, minimum: float | None,
-               allow_zero: bool) -> dict[DeviceClass, Any]:
+def _class_map(reader: _SectionReader, key: str, kind: type, allow_zero: bool) -> dict[DeviceClass, Any]:
     raw, line = reader.take(key, dict)
     out: dict[DeviceClass, Any] = {}
     for cls_name, value in raw.items():
@@ -401,12 +410,11 @@ def _class_map(reader: _SectionReader, key: str, kind: type, minimum: float | No
             cls = DeviceClass(cls_name)
         except ValueError:
             raise ScenarioError(f"{key!r}: unknown device class {cls_name!r}", line) from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{key!r}: value for {cls_name!r} must be a number", line)
-        if minimum is not None and (value < minimum or (value == minimum and not allow_zero)):
+        value = _number(value, kind, f"{key!r}: value for {cls_name!r}", line)
+        if value < 0 or (value == 0 and not allow_zero):
             op = ">=" if allow_zero else ">"
-            raise ScenarioError(f"{key!r}: value for {cls_name!r} must be {op} {minimum}", line)
-        out[cls] = kind(value)
+            raise ScenarioError(f"{key!r}: value for {cls_name!r} must be {op} 0", line)
+        out[cls] = value
     return out
 
 
@@ -449,8 +457,8 @@ def parse_scenario(text: str) -> Scenario:
         counts[key] = value
     plans: dict[Tier, TierPlan] = {}
     for tier, tier_key in _TIER_KEYS.items():
-        fleet = _class_map(topo, f"{tier_key}_fleet", int, 0, allow_zero=True)
-        capacity = _class_map(topo, f"{tier_key}_capacity", float, 0, allow_zero=False)
+        fleet = _class_map(topo, f"{tier_key}_fleet", int, allow_zero=True)
+        capacity = _class_map(topo, f"{tier_key}_capacity", float, allow_zero=False)
         for cls, count in fleet.items():
             if count > 0 and cls not in capacity:
                 raise ScenarioError(
@@ -462,7 +470,7 @@ def parse_scenario(text: str) -> Scenario:
     topo.finish()
 
     pricing = _SectionReader("pricing", doc.sections["pricing"], doc.section_lines["pricing"])
-    unit_price = _class_map(pricing, "unit_price", float, 0, allow_zero=True)
+    unit_price = _class_map(pricing, "unit_price", float, allow_zero=True)
     carrier_multiplier, line = pricing.take("carrier_multiplier", float)
     if carrier_multiplier <= 0:
         raise ScenarioError("'carrier_multiplier' must be > 0", line)
@@ -478,15 +486,13 @@ def parse_scenario(text: str) -> Scenario:
         raw, line = links.take(key, dict)
         if set(raw) != {"bandwidth_mbps", "monthly_cost"}:
             raise ScenarioError(f"{key!r} must have exactly bandwidth_mbps and monthly_cost", line)
-        bandwidth, cost = raw["bandwidth_mbps"], raw["monthly_cost"]
-        for field_name, value in (("bandwidth_mbps", bandwidth), ("monthly_cost", cost)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScenarioError(f"{key!r}: {field_name} must be a number", line)
+        bandwidth = _number(raw["bandwidth_mbps"], float, f"{key!r}: bandwidth_mbps", line)
+        cost = _number(raw["monthly_cost"], float, f"{key!r}: monthly_cost", line)
         if bandwidth <= 0:
             raise ScenarioError(f"{key!r}: bandwidth_mbps must be > 0", line)
         if cost < 0:
             raise ScenarioError(f"{key!r}: monthly_cost must be >= 0", line)
-        link_specs[key] = LinkSpec(bandwidth_capacity=float(bandwidth), monthly_cost=float(cost))
+        link_specs[key] = LinkSpec(bandwidth_capacity=bandwidth, monthly_cost=cost)
     links.finish()
 
     app_types: list[AppType] = []
@@ -497,12 +503,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("app name must be non-empty", nline)
         if any(a.name == app_name for a in app_types):
             raise ScenarioError(f"duplicate app name {app_name!r}", nline)
-        data_mb, line = reader.take("transfer_data_mb", float)
-        if data_mb < 0:
-            raise ScenarioError("'transfer_data_mb' must be >= 0", line)
-        bandwidth, line = reader.take("bandwidth_mbps", float)
-        if bandwidth <= 0:
-            raise ScenarioError("'bandwidth_mbps' must be > 0", line)
+        data_mb, _ = reader.take("transfer_data_mb", float)
+        bandwidth, _ = reader.take("bandwidth_mbps", float)
         raw_variants, vline2 = reader.take("variants", list)
         variants = []
         for raw in raw_variants:
@@ -515,26 +517,24 @@ def parse_scenario(text: str) -> Scenario:
                 cls = DeviceClass(raw["device_class"])
             except ValueError:
                 raise ScenarioError(f"unknown device class {raw['device_class']!r}", vline2) from None
-            for field_name in ("processing_time_s", "resource_demand"):
-                value = raw[field_name]
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                    raise ScenarioError(f"variant {field_name} must be > 0", vline2)
-            if any(v.device_class is cls for v in variants):
-                raise ScenarioError(f"duplicate variant class {cls.value!r}", vline2)
-            variants.append(
-                AppVariant(cls, float(raw["processing_time_s"]), float(raw["resource_demand"]))
-            )
-        if not variants:
-            raise ScenarioError(f"app {app_name!r} needs at least one variant", vline2)
+            processing_time = _number(raw["processing_time_s"], float, "variant processing_time_s", vline2)
+            demand = _number(raw["resource_demand"], float, "variant resource_demand", vline2)
+            try:
+                variants.append(AppVariant(cls, processing_time, demand))
+            except ValidationError as exc:
+                raise ScenarioError(str(exc), vline2) from None
         reader.finish()
-        app_types.append(
-            AppType(
-                name=app_name,
-                transfer_data_size=data_mb,
-                bandwidth_demand=bandwidth,
-                variants=tuple(variants),
+        try:
+            app_types.append(
+                AppType(
+                    name=app_name,
+                    transfer_data_size=data_mb,
+                    bandwidth_demand=bandwidth,
+                    variants=tuple(variants),
+                )
             )
-        )
+        except ValidationError as exc:
+            raise ScenarioError(str(exc), nline) from None
 
     requests = _SectionReader("requests", doc.sections["requests"], doc.section_lines["requests"])
     mix_raw, mix_line = requests.take("mix", dict)
@@ -656,15 +656,9 @@ def scenario_hash(scenario: Scenario) -> str:
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Cross-checks beyond the schema; returns violations (empty when sound)."""
-    violations: list[str] = []
-
-    def check_attach(child: int, parent: int, what: str):
-        if child > 0 and (parent == 0 or child % parent != 0):
-            violations.append(f"{what}: {child} not divisible by {parent}")
-
-    check_attach(scenario.carrier.sites, scenario.cloud.sites, "carrier sites per cloud site")
-    check_attach(scenario.user.sites, scenario.carrier.sites, "user sites per carrier site")
-    check_attach(scenario.input_nodes, scenario.user.sites, "input nodes per user site")
+    violations = attachment_errors(
+        scenario.cloud.sites, scenario.carrier.sites, scenario.user.sites, scenario.input_nodes
+    )
 
     available: set[DeviceClass] = set()
     for plan in (scenario.cloud, scenario.carrier, scenario.user):

@@ -64,7 +64,6 @@ class MetricsPoint:
     placements: int
     running_avg_response: float
     tier_counts: Mapping[Tier, int]
-    rejections: int
     cumulative_price: float
 
 
@@ -183,11 +182,9 @@ def compute_metrics(trace: Trace) -> MetricsSeries:
     placed = 0
     response_sum = 0.0
     price_sum = 0.0
-    rejections = 0
     tier_counts = {Tier.USER_EDGE: 0, Tier.CARRIER_EDGE: 0, Tier.CLOUD: 0}
     for outcome in trace.outcomes:
         if not outcome.placed:
-            rejections += 1
             continue
         placement = outcome.placement
         placed += 1
@@ -199,12 +196,11 @@ def compute_metrics(trace: Trace) -> MetricsSeries:
                 placements=placed,
                 running_avg_response=response_sum / placed,
                 tier_counts=dict(tier_counts),
-                rejections=rejections,
                 cumulative_price=price_sum,
             )
         )
     return MetricsSeries(
         points=tuple(points),
         total_requests=len(trace.outcomes),
-        total_rejections=rejections,
+        total_rejections=len(trace.outcomes) - placed,
     )

@@ -123,10 +123,6 @@ class RequestOutcome:
     def placed(self) -> bool:
         return self.placement is not None
 
-    @property
-    def rejection_reason(self) -> str | None:
-        return None if self.placed else "no-feasible-candidate"
-
 
 @dataclass
 class ResidualState:

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import os
 
 import pytest
 
 from edge_placer.cli import CSV_COLUMNS, main, trace_csv_text
+from edge_placer.lp_export import build_ilp, to_lp_text
+from edge_placer.model import build_topology
 from edge_placer.scenario import paper_scenario, serialize_scenario
-from edge_placer.simulator import PatternKind, compute_metrics, run_simulation
+from edge_placer.simulator import PatternKind, compute_metrics, generate_requests, run_simulation
+from edge_placer.solver import ResidualState, apply_placement, solve_with_escalation
 
 from test_lp_export import enumerate_optimum
 
@@ -30,6 +35,17 @@ class TestRun:
         main(["run", "--paper", "--pattern", "2", "--requests", "150", "--seed", "9", "--out", str(tmp_path)])
         trace = run_simulation(paper_scenario(), PatternKind.PATTERN2, 150, 9)
         assert read(tmp_path / "trace_2.csv") == trace_csv_text(trace)
+
+    def test_paper_outputs_match_pinned_digests(self, tmp_path):
+        pinned_path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pinned.json")
+        with open(pinned_path, encoding="utf-8") as handle:
+            pinned = json.load(handle)
+        code = main(["run", "--paper", "--pattern", "all", "--requests", "1000",
+                     "--seed", str(pinned["seed"]), "--out", str(tmp_path)])
+        assert code == 0
+        for name in ("trace_1.csv", "trace_2.csv", "trace_3.csv", "summary.md"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == pinned["digests"]["paper"][f"all/{name}"], name
 
     def test_zero_requests_header_only(self, tmp_path):
         code = main(["run", "--paper", "--pattern", "1", "--requests", "0", "--seed", "1", "--out", str(tmp_path)])
@@ -140,6 +156,27 @@ class TestEmitLp:
         assert code == 0
         # first bound (7000 yen) admits only the cloud GPUs: optimum 7.4 s
         assert enumerate_optimum(read(out)) == pytest.approx(7.4, abs=1e-9)
+
+    @pytest.mark.parametrize("pattern", [1, 2, 3])
+    def test_residuals_match_independent_replay(self, tmp_path, pattern):
+        out = tmp_path / "replayed.lp"
+        code = main(["emit-lp", "--paper", "--pattern", str(pattern), "--request-index", "500",
+                     "--seed", "42", "--out", str(out)])
+        assert code == 0
+        scenario = paper_scenario()
+        topology = build_topology(scenario.topology_spec())
+        stream = generate_requests(scenario, PatternKind(pattern), 500, 42, topology=topology)
+        state = ResidualState.fresh(topology)
+        for request in stream[:-1]:
+            outcome = solve_with_escalation(topology, state, request)
+            if outcome.placed:
+                apply_placement(state, outcome.placement)
+        target = stream[-1]
+        bound = target.requirement.ladder()[0]
+        expected = to_lp_text(build_ilp(topology, state, target, bound))
+        # the replay changed residuals the target's model reads
+        assert expected != to_lp_text(build_ilp(topology, ResidualState.fresh(topology), target, bound))
+        assert read(out) == expected
 
     def test_bound_index_beyond_ladder(self, tmp_path):
         code = main(["emit-lp", "--paper", "--pattern", "2", "--request-index", "1",

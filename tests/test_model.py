@@ -4,21 +4,15 @@ import pytest
 
 from edge_placer.model import (
     DeviceClass,
-    DeviceNode,
     FleetSpec,
-    InputNode,
-    Link,
     LinkSpec,
-    Site,
     Tier,
     TierSpec,
-    Topology,
     TopologySpec,
     ValidationError,
     build_topology,
     root_path_sites,
     uplink_path,
-    validate_topology,
 )
 
 
@@ -53,7 +47,8 @@ class TestBuildTopology:
         topo = build_topology(spec)
         assert len(topo.sites) == 1
         assert len(topo.links) == 0
-        assert validate_topology(topo) == []
+        assert topo.sites["cloud000"].devices == ("cloud000_gpu00",)
+        assert topo.devices["cloud000_gpu00"].tier is Tier.CLOUD
 
     def test_non_divisible_counts_rejected(self):
         with pytest.raises(ValidationError, match="not divisible"):
@@ -171,47 +166,3 @@ class TestUplinkPath:
         with pytest.raises(ValueError):
             uplink_path(paper_topology, "input000", "carrier001")
 
-
-class TestValidateTopology:
-    def test_paper_topology_clean(self, paper_topology):
-        assert validate_topology(paper_topology) == []
-
-    def test_device_listed_twice(self):
-        device = DeviceNode("d1", "s1", Tier.CLOUD, DeviceClass.CPU, 10.0, 100.0)
-        topo = Topology(
-            sites={
-                "s1": Site("s1", Tier.CLOUD, ("d1",)),
-                "s2": Site("s2", Tier.CLOUD, ("d1",)),
-            },
-            devices={"d1": device},
-            links={},
-            input_nodes={},
-        )
-        violations = validate_topology(topo)
-        assert len(violations) == 1
-        assert "multiple sites" in violations[0]
-
-    def test_link_with_cloud_child(self, paper_topology):
-        links = dict(paper_topology.links)
-        links["link_bad"] = Link("link_bad", "cloud000", "cloud001", 100.0, 8000.0)
-        topo = Topology(
-            sites=paper_topology.sites,
-            devices=paper_topology.devices,
-            links=links,
-            input_nodes=paper_topology.input_nodes,
-        )
-        violations = validate_topology(topo)
-        assert len(violations) == 1
-        assert "cloud site as child" in violations[0]
-
-    def test_input_on_wrong_tier(self, paper_topology):
-        inputs = dict(paper_topology.input_nodes)
-        inputs["input_bad"] = InputNode("input_bad", "carrier000")
-        topo = Topology(
-            sites=paper_topology.sites,
-            devices=paper_topology.devices,
-            links=paper_topology.links,
-            input_nodes=inputs,
-        )
-        violations = validate_topology(topo)
-        assert violations and "non-user-edge" in violations[0]

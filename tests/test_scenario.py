@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from edge_placer.cli import main
 from edge_placer.model import DeviceClass, LinkSpec, Tier, ValidationError
 from edge_placer.pricing import AppType, AppVariant
 from edge_placer.scenario import (
@@ -273,6 +274,56 @@ class TestParseErrors:
         text = serialize_scenario(paper).replace('"processing_time_s": 5.8', '"processing_time_s": NaN')
         with pytest.raises(ScenarioError, match="NaN is not a finite number"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("count", ["8.7", "8.0"])
+    def test_fractional_fleet_count_reports_line(self, paper, count):
+        lines = serialize_scenario(paper).splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith("cloud_fleet = "))
+        lines[index] = lines[index].replace('"cpu": 8,', f'"cpu": {count},')
+        with pytest.raises(ScenarioError, match=rf"line {index + 1}: 'cloud_fleet': value for 'cpu' must be an integer"):
+            parse_scenario("\n".join(lines))
+
+    @pytest.mark.parametrize("key, old, new", [
+        ("mix", '"NAS.FT": 3.0', '"NAS.FT": 3.0, "NAS.FT": 4.0'),
+        ("variants", '"device_class": "gpu"', '"device_class": "gpu", "device_class": "cpu"'),
+    ], ids=["mix", "nested-variant"])
+    def test_duplicate_key_inside_value_reports_line(self, paper, key, old, new):
+        lines = serialize_scenario(paper).splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+        lines[index] = lines[index].replace(old, new, 1)
+        with pytest.raises(ScenarioError, match=rf"line {index + 1}: invalid value for '{key}': duplicate key"):
+            parse_scenario("\n".join(lines))
+
+    @pytest.mark.parametrize("key, old, new, anchor, message", [
+        ("transfer_data_mb", "0.2", "-0.2", "name", "transfer_data_size must be finite and >= 0"),
+        ("bandwidth_mbps", "2.0", "0", "name", "bandwidth_demand must be finite and > 0"),
+        ("variants", '"processing_time_s": 5.8', '"processing_time_s": 0', "variants",
+         "processing_time must be finite and > 0"),
+        ("variants", '"resource_demand": 1.0', '"resource_demand": true', "variants",
+         "resource_demand must be a number"),
+        ("variants", '"device_class": "cpu"', '"device_class": "gpu"', "name", "duplicate variant device class"),
+        ("variants", None, "[]", "name", "needs at least one variant"),
+        ("variants", None, "[5]", "variants", "each variant needs exactly"),
+    ], ids=["negative-transfer", "zero-bandwidth", "zero-processing-time", "boolean-demand",
+            "duplicate-variant-class", "no-variants", "variant-not-object"])
+    def test_malformed_app_entry_reports_line(self, paper, tmp_path, capsys, key, old, new, anchor, message):
+        # AppVariant errors name the variants line, AppType errors the entry's name line.
+        lines = serialize_scenario(paper).splitlines()
+        start = lines.index('name = "NAS.FT"')
+        line_of = {row.partition(" = ")[0]: i for i, row in enumerate(lines[start:start + 4], start=start)}
+        index = line_of[key]
+        lines[index] = f"{key} = {new}" if old is None else lines[index].replace(old, new, 1)
+        text = "\n".join(lines)
+        with pytest.raises(ScenarioError, match=message) as info:
+            parse_scenario(text)
+        assert info.value.line == line_of[anchor] + 1
+        path = tmp_path / "bad_app.scn"
+        path.write_text(text, encoding="utf-8")
+        code = main(["run", "--scenario", str(path), "--pattern", "1", "--requests", "5",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line {line_of[anchor] + 1}: " in err and "Traceback" not in err
 
     def test_dataclasses_refuse_non_finite(self):
         nan, inf = float("nan"), float("inf")
