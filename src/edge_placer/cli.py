@@ -141,6 +141,15 @@ def _load_scenario(args) -> Scenario:
     return parse_scenario(text)
 
 
+def _load_valid_scenario(args, require_placeable: bool = True) -> Scenario | None:
+    """The scenario, or None after printing its ``validate_scenario`` violations (exit 2)."""
+    scenario = _load_scenario(args)
+    violations = validate_scenario(scenario, require_placeable)
+    for violation in violations:
+        print(f"scenario error: {violation}", file=sys.stderr)
+    return None if violations else scenario
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -160,11 +169,8 @@ def _patterns(value: str) -> list[PatternKind]:
 
 
 def cmd_run(args) -> int:
-    scenario = _load_scenario(args)
-    violations = validate_scenario(scenario)
-    if violations:
-        for violation in violations:
-            print(f"scenario error: {violation}", file=sys.stderr)
+    scenario = _load_valid_scenario(args)
+    if scenario is None:
         return 2
     seed = _seed(args)
     topology = build_topology(scenario.topology_spec())
@@ -197,7 +203,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit_lp(args) -> int:
-    scenario = _load_scenario(args)
+    # An app that no device can host still has a model: an infeasible one.
+    scenario = _load_valid_scenario(args, require_placeable=False)
+    if scenario is None:
+        return 2
     pattern = PatternKind(int(args.pattern))
     seed = _seed(args)
     topology = build_topology(scenario.topology_spec())

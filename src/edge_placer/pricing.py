@@ -75,6 +75,20 @@ class AppType:
         classes = [v.device_class for v in self.variants]
         if len(set(classes)) != len(classes):
             raise ValidationError(f"app {self.name!r}: duplicate variant device class")
+        # An app keys the solver's candidate tables, so every decision hashes
+        # it: hash the fields once, not on every lookup.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.name, self.transfer_data_size, self.bandwidth_demand, self.variants)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes differ between
+        # processes, so the cached hash must not travel in a pickle.
+        return (type(self), self._fields())
 
     def variant_for(self, device_class: DeviceClass) -> AppVariant | None:
         for variant in self.variants:

@@ -40,7 +40,7 @@ from .model import (
     ValidationError,
     attachment_errors,
 )
-from .pricing import AppType, AppVariant
+from .pricing import AppType, AppVariant, transfer_time
 
 SCHEMA_VERSION = 1
 
@@ -654,8 +654,13 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(serialize_scenario(scenario).encode("utf-8")).hexdigest()
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Cross-checks beyond the schema; returns violations (empty when sound)."""
+def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> list[str]:
+    """Cross-checks beyond the schema; returns violations (empty when sound).
+
+    ``require_placeable=False`` drops the check that every app has a variant
+    for some device class of the fleet: an app that no device can host still
+    has a well-defined, infeasible per-request model.
+    """
     violations = attachment_errors(
         scenario.cloud.sites, scenario.carrier.sites, scenario.user.sites, scenario.input_nodes
     )
@@ -663,16 +668,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     available: set[DeviceClass] = set()
     for plan in (scenario.cloud, scenario.carrier, scenario.user):
         available |= {cls for cls, count in plan.fleet.items() if count > 0 and plan.sites > 0}
-    for cls in available:
-        if cls not in scenario.unit_price:
+    for cls in CLASS_ORDER:
+        if cls in available and cls not in scenario.unit_price:
             violations.append(f"unit_price is missing device class {cls.value!r}")
 
     for entry in scenario.apps:
-        placeable = [v for v in entry.app.variants if v.device_class in available]
-        if not placeable:
+        app = entry.app
+        if require_placeable and not any(v.device_class in available for v in app.variants):
+            violations.append(f"app {app.name!r}: no variant's device class exists anywhere in the topology")
+        if not math.isfinite(transfer_time(app.transfer_data_size, app.bandwidth_demand)):
             violations.append(
-                f"app {entry.app.name!r}: no variant's device class exists anywhere in the topology"
+                f"app {app.name!r}: per-link transfer time 8 * transfer_data_mb / bandwidth_mbps is not finite"
             )
         if not entry.price_menu and not entry.deadline_menu:
-            violations.append(f"app {entry.app.name!r}: both request menus are empty")
+            violations.append(f"app {app.name!r}: both request menus are empty")
     return violations

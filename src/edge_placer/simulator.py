@@ -57,7 +57,7 @@ class Trace:
     final_state: ResidualState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsPoint:
     """Running totals at one placement index (1-based, placed requests only)."""
 
@@ -81,9 +81,10 @@ class MetricsSeries:
         return self.points[placement_index - 1].running_avg_response
 
 
-def _pattern1_menu(entry: AppEntry) -> list[tuple[RequirementKind, float]]:
-    menu = [(RequirementKind.COST_CAP, v) for v in entry.price_menu]
-    menu += [(RequirementKind.DEADLINE, v) for v in entry.deadline_menu]
+def _pattern1_menu(entry: AppEntry) -> list[Requirement]:
+    """One single-bound requirement per menu value, shared by every request that draws it."""
+    menu = [Requirement(RequirementKind.COST_CAP, (v,)) for v in entry.price_menu]
+    menu += [Requirement(RequirementKind.DEADLINE, (v,)) for v in entry.deadline_menu]
     return menu
 
 
@@ -103,7 +104,7 @@ def generate_requests(
     if n > 0 and not input_ids:
         raise ValidationError("scenario has no input nodes to originate requests")
 
-    menus: dict[str, list[tuple[RequirementKind, float]]] = {}
+    menus: dict[str, list[Requirement]] = {}
     ladders: dict[str, Requirement] = {}
     for entry in scenario.apps:
         app_name = entry.app.name
@@ -130,8 +131,7 @@ def generate_requests(
         input_id = input_ids[rng.next_below(len(input_ids))]
         if pattern is PatternKind.PATTERN1:
             menu = menus[entry.app.name]
-            kind, value = menu[rng.next_below(len(menu))]
-            requirement = Requirement(kind, (value,))
+            requirement = menu[rng.next_below(len(menu))]
         else:
             requirement = ladders[entry.app.name]
         stream.append(

@@ -58,7 +58,7 @@ class RequirementKind(Enum):
     DEADLINE = "deadline"  # bound on response time; objective: price
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound:
     kind: RequirementKind
     value: float
@@ -69,7 +69,7 @@ class Bound:
         return (self.value,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Requirement:
     """A ladder of bounds, tightest first (strictly increasing values)."""
 
@@ -88,7 +88,7 @@ class Requirement:
         return [Bound(self.kind, value) for value in self.bounds]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementRequest:
     id: int  # arrival order, 1-based
     app: AppType
@@ -96,7 +96,7 @@ class PlacementRequest:
     requirement: Requirement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """An accepted placement with its admitted bound and solution values."""
 
@@ -112,7 +112,7 @@ class Placement:
     bandwidth_demand: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestOutcome:
     """Placed (placement set) or rejected (no feasible candidate at any bound)."""
 
@@ -155,11 +155,9 @@ class TableEntry(NamedTuple):
     price: float
 
 
-# The entry field each bound kind caps.
-_BOUND_METRIC = {
-    RequirementKind.COST_CAP: attrgetter("price"),
-    RequirementKind.DEADLINE: attrgetter("response_time"),
-}
+def _bound_metric(kind: RequirementKind, entry: TableEntry) -> float:
+    """The entry field that a bound of this kind caps."""
+    return entry.price if kind is RequirementKind.COST_CAP else entry.response_time
 
 
 class CandidateTable:
@@ -173,20 +171,27 @@ class CandidateTable:
     passes no bound or cannot be ranked, so it is never placed.
     """
 
-    __slots__ = ("entries", "views")
+    __slots__ = ("entries", "by_price", "by_response_time")
 
     def __init__(self, entries: tuple[TableEntry, ...]):
         self.entries = entries
-        self.views: dict[RequirementKind, tuple[list[float], list[TableEntry]]] = {}
+        self.by_price: tuple[list[float], list[TableEntry]] | None = None
+        self.by_response_time: tuple[list[float], list[TableEntry]] | None = None
+
+    def _sorted(self, metric) -> tuple[list[float], list[TableEntry]]:
+        finite = (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
+        ordered = sorted(finite, key=metric)
+        return [metric(e) for e in ordered], ordered
 
     def view(self, kind: RequirementKind) -> tuple[list[float], list[TableEntry]]:
-        view = self.views.get(kind)
-        if view is None:
-            metric = _BOUND_METRIC[kind]
-            finite = (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
-            ordered = sorted(finite, key=metric)
-            view = self.views[kind] = ([metric(e) for e in ordered], ordered)
-        return view
+        # Two attributes, not a dict keyed by kind: an enum hashes in Python code.
+        if kind is RequirementKind.COST_CAP:
+            if self.by_price is None:
+                self.by_price = self._sorted(attrgetter("price"))
+            return self.by_price
+        if self.by_response_time is None:
+            self.by_response_time = self._sorted(attrgetter("response_time"))
+        return self.by_response_time
 
 
 def _table(topology: Topology, input_node: InputNode, app: AppType) -> CandidateTable:
@@ -213,8 +218,10 @@ def candidate_table(topology: Topology, input_node: InputNode, app: AppType) -> 
 
 
 def _granted(bounds: tuple[float, ...], metric: float) -> float:
-    """The tightest bound of a ladder that admits ``metric``."""
-    return next(b for b in bounds if metric <= b + TOLERANCE)
+    """The tightest bound of a ladder that admits ``metric``, which the loosest bound must admit."""
+    for b in bounds:
+        if metric <= b + TOLERANCE:
+            return b
 
 
 def feasible_candidates(
@@ -262,14 +269,19 @@ def _select(entries: list[TableEntry], kind: RequirementKind) -> TableEntry:
     secondary metric, then by tier closest to the user, then by smallest
     device id.
     """
+    if len(entries) == 1:
+        return entries[0]
     if kind is RequirementKind.COST_CAP:
         scored = [(e.response_time, e.price, e) for e in entries]
     else:
         scored = [(e.price, e.response_time, e) for e in entries]
     best_primary = min(s[0] for s in scored)
     scored = [s for s in scored if s[0] <= best_primary + TOLERANCE]
-    best_secondary = min(s[1] for s in scored)
-    scored = [s for s in scored if s[1] <= best_secondary + TOLERANCE]
+    if len(scored) > 1:
+        best_secondary = min(s[1] for s in scored)
+        scored = [s for s in scored if s[1] <= best_secondary + TOLERANCE]
+    if len(scored) == 1:
+        return scored[0][2]
     return min(scored, key=lambda s: (s[2].device.tier.distance_from_user, s[2].device.id))[2]
 
 
@@ -288,7 +300,7 @@ def solve_request(
     if not entries:
         return None
     kind = bound.kind
-    granted = _granted(bound.bounds, _BOUND_METRIC[kind](entries[0]))
+    granted = _granted(bound.bounds, _bound_metric(kind, entries[0]))
     _, device, variant, path, r, p = _select(entries, kind)
     return Placement(
         request_id=request.id,

@@ -19,6 +19,19 @@ def read(path):
         return handle.read()
 
 
+def edited_paper(tmp_path, old, new):
+    """Write the paper preset with one text replacement; return its path."""
+    text = serialize_scenario(paper_scenario())
+    assert old in text
+    path = tmp_path / "edited.scn"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
+
+
+# NAS.FT's per-link transfer time 8 * 1e308 / 0.5 overflows to inf.
+INFINITE_TRANSFER = ("transfer_data_mb = 0.2\nbandwidth_mbps = 2.0", "transfer_data_mb = 1e308\nbandwidth_mbps = 0.5")
+
+
 class TestRun:
     def test_paper_all_patterns(self, tmp_path):
         code = main([
@@ -147,6 +160,19 @@ deadline_menus = {"only": [2.0]}
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--pattern", "1", "--requests", "5"],
+        ["emit-lp", "--pattern", "1", "--request-index", "3"],
+    ])
+    def test_infinite_transfer_time_exit_2(self, tmp_path, capsys, argv):
+        path = edited_paper(tmp_path, *INFINITE_TRANSFER)
+        out = tmp_path / "out"
+        code = main([*argv, "--scenario", path, "--seed", "42", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "scenario error: app 'NAS.FT': per-link transfer time" in err and "not finite" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestEmitLp:
     def test_first_request_pattern2_optimum(self, tmp_path):
@@ -182,6 +208,16 @@ class TestEmitLp:
         code = main(["emit-lp", "--paper", "--pattern", "2", "--request-index", "1",
                      "--seed", "42", "--bound-index", "5", "--out", str(tmp_path / "x.lp")])
         assert code == 2
+
+    def test_missing_unit_price_exit_2(self, tmp_path, capsys):
+        path = edited_paper(tmp_path, ', "fpga": 1200.0}', "}")
+        out = tmp_path / "x.lp"
+        code = main(["emit-lp", "--scenario", path, "--pattern", "1", "--request-index", "3",
+                     "--seed", "42", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "scenario error: unit_price is missing device class 'fpga'" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_out_of_range_request_index(self, tmp_path):
         code = main(["emit-lp", "--paper", "--pattern", "2", "--request-index", "0",
@@ -245,6 +281,11 @@ class TestValidate:
         path = tmp_path / "odd.scn"
         path.write_text(text, encoding="utf-8")
         assert main(["validate", "--scenario", str(path)]) == 1
+
+    def test_infinite_transfer_time_exit_1(self, tmp_path, capsys):
+        assert main(["validate", "--scenario", edited_paper(tmp_path, *INFINITE_TRANSFER)]) == 1
+        out = capsys.readouterr().out
+        assert "violation: app 'NAS.FT': per-link transfer time" in out and "scenario ok" not in out
 
     def test_unparseable_exit_2(self, tmp_path):
         path = tmp_path / "broken.scn"

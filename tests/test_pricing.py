@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -242,6 +245,23 @@ class TestInvariantsOfTypes:
             AppType("x", 0.1, 1.0, ())
         with pytest.raises(ValidationError):
             AppType("x", 0.1, 1.0, (gpu, AppVariant(DeviceClass.GPU, 2.0, 2.0)))
+
+    def test_app_hash_is_its_fields_hash(self, nas_ft):
+        assert hash(nas_ft) == hash(
+            (nas_ft.name, nas_ft.transfer_data_size, nas_ft.bandwidth_demand, nas_ft.variants)
+        )
+
+    def test_equal_apps_hash_equal_after_copies(self, nas_ft):
+        copies = [
+            dataclasses.replace(nas_ft),
+            dataclasses.replace(dataclasses.replace(nas_ft, name="other"), name=nas_ft.name),
+            copy.copy(nas_ft),
+            copy.deepcopy(nas_ft),
+            *(pickle.loads(pickle.dumps(nas_ft, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ]
+        for app in copies:
+            assert app == nas_ft and hash(app) == hash(nas_ft)
+        assert dataclasses.replace(nas_ft, bandwidth_demand=3.0) != nas_ft
 
     def test_candidate_class_mismatch(self, nas_ft, paper_topology):
         device = paper_topology.devices["cloud000_cpu00"]

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,10 +19,12 @@ from edge_placer.model import (
 )
 from edge_placer.lp_export import build_ilp, variable_name
 from edge_placer.pricing import AppType, AppVariant
-from edge_placer.simulator import PatternKind, generate_requests
+from edge_placer.simulator import MetricsPoint, PatternKind, generate_requests
 from edge_placer.solver import (
     Bound,
+    Placement,
     PlacementRequest,
+    RequestOutcome,
     Requirement,
     RequirementKind,
     ResidualState,
@@ -462,6 +468,28 @@ class TestCandidateTable:
         assert placed > 50
         assert len({app for _, app in topology.candidate_tables}) > 100
 
+    def test_app_pickled_under_another_hash_seed_finds_cached_table(self, paper):
+        # String hashes depend on PYTHONHASHSEED, so an app's cached hash is
+        # only valid in the process that built it.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "import pickle, sys\n"
+            "from edge_placer.scenario import paper_scenario\n"
+            "app = paper_scenario().app_entry('NAS.FT').app\n"
+            "sys.stdout.buffer.write(pickle.dumps((hash(app), app)))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        child_hash, loaded = pickle.loads(child.stdout)
+        fresh = paper.app_entry("NAS.FT").app
+        assert child_hash != hash(fresh)  # the seeds differ, so the test means something
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        topology = build_topology(paper.topology_spec())
+        node = topology.input_nodes["input000"]
+        assert candidate_table(topology, node, loaded) is candidate_table(topology, node, fresh)
+        assert len(topology.candidate_tables) == 1
+
     def test_answer_tracks_residuals(self, paper, paper_topology):
         state = ResidualState.fresh(paper_topology)
         request = request_for(paper, paper_topology, "NAS.FT", RequirementKind.COST_CAP, [7000.0])
@@ -646,3 +674,25 @@ class TestLadderOracle:
                 metrics, ordered = topology.candidate_tables[key].view(kind)
                 assert sorted(ordered, key=id) == sorted(table, key=id)
                 assert metrics == [bound_metric(kind, e) for e in ordered] == sorted(metrics)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record_type", [
+        Bound, Requirement, PlacementRequest, Placement, RequestOutcome, MetricsPoint,
+    ])
+    def test_slotted_records_stay_frozen(self, record_type, paper_runs):
+        outcome = next(o for o in paper_runs.trace(PatternKind.PATTERN1, 42).outcomes if o.placed)
+        records = {
+            Bound: outcome.placement.granted_bound,
+            Requirement: outcome.request.requirement,
+            PlacementRequest: outcome.request,
+            Placement: outcome.placement,
+            RequestOutcome: outcome,
+            MetricsPoint: paper_runs.metrics(PatternKind.PATTERN1, 42).points[0],
+        }
+        record = records[record_type]
+        assert type(record) is record_type and not hasattr(record, "__dict__")
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        assert pickle.loads(pickle.dumps(record)) == record
