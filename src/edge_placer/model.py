@@ -147,18 +147,20 @@ class TopologySpec:
     carrier_cloud_link: LinkSpec
 
 
-def attachment_errors(cloud_sites: int, carrier_sites: int, user_sites: int, input_nodes: int) -> list[str]:
-    """Why the counts cannot attach in balanced blocks; empty when they can.
+def topology_spec_errors(spec: TopologySpec) -> list[str]:
+    """Why ``build_topology`` refuses the spec; empty when it builds.
 
     Every non-empty child tier needs a parent tier whose count divides its
-    own: carrier sites by cloud sites, user sites by carrier sites, input
-    nodes by user sites.
+    own, for attachment in balanced blocks: carrier sites by cloud sites,
+    user sites by carrier sites, input nodes by user sites.  Counts must
+    not be negative, a capacity or bandwidth must be finite and > 0, and a
+    cost finite and >= 0.
     """
     errors: list[str] = []
     for child_count, parent_count, child_name, parent_name in (
-        (carrier_sites, cloud_sites, "carrier sites", "cloud sites"),
-        (user_sites, carrier_sites, "user sites", "carrier sites"),
-        (input_nodes, user_sites, "input nodes", "user sites"),
+        (spec.carrier.sites, spec.cloud.sites, "carrier sites", "cloud sites"),
+        (spec.user.sites, spec.carrier.sites, "user sites", "carrier sites"),
+        (spec.input_nodes, spec.user.sites, "input nodes", "user sites"),
     ):
         if child_count == 0:
             continue
@@ -169,22 +171,6 @@ def attachment_errors(cloud_sites: int, carrier_sites: int, user_sites: int, inp
                 f"{child_name} count {child_count} not divisible by "
                 f"{parent_name} count {parent_count}; balanced attachment impossible"
             )
-    return errors
-
-
-def build_topology(spec: TopologySpec) -> Topology:
-    """Build a balanced tree topology from per-tier counts and fleets.
-
-    Children are attached round-robin in contiguous blocks: with c
-    children per parent, child i goes to parent i // c.  Ids are derived
-    from tier name and index, so identical specs produce identical
-    topologies.
-
-    Raises ValidationError when counts are not divisible for balanced
-    attachment, a count is negative, a capacity or bandwidth is not finite
-    and > 0, or a cost is not finite and >= 0.
-    """
-    errors = attachment_errors(spec.cloud.sites, spec.carrier.sites, spec.user.sites, spec.input_nodes)
     for tier_name, tier_spec in (("cloud", spec.cloud), ("carrier", spec.carrier), ("user", spec.user)):
         if tier_spec.sites < 0:
             errors.append(f"{tier_name} site count is negative")
@@ -202,6 +188,21 @@ def build_topology(spec: TopologySpec) -> Topology:
             errors.append(f"{name} link bandwidth must be finite and > 0")
         if not (math.isfinite(link.monthly_cost) and link.monthly_cost >= 0):
             errors.append(f"{name} link cost must be finite and >= 0")
+    return errors
+
+
+def build_topology(spec: TopologySpec) -> Topology:
+    """Build a balanced tree topology from per-tier counts and fleets.
+
+    Children are attached round-robin in contiguous blocks: with c
+    children per parent, child i goes to parent i // c.  Ids are derived
+    from tier name and index, so identical specs produce identical
+    topologies.
+
+    Raises ValidationError listing the ``topology_spec_errors`` of a spec
+    it cannot build.
+    """
+    errors = topology_spec_errors(spec)
     if errors:
         raise ValidationError("invalid topology spec: " + "; ".join(errors))
 

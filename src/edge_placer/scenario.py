@@ -38,7 +38,7 @@ from .model import (
     TierSpec,
     TopologySpec,
     ValidationError,
-    attachment_errors,
+    topology_spec_errors,
 )
 from .pricing import AppType, AppVariant, transfer_time
 
@@ -112,7 +112,7 @@ class Scenario:
                     full_cost=self.device_full_cost(tier, cls),
                 )
                 for cls in CLASS_ORDER
-                if plan.fleet.get(cls, 0) > 0
+                if plan.sites > 0 and plan.fleet.get(cls, 0) > 0
             )
             return TierSpec(sites=plan.sites, fleet=fleet)
 
@@ -661,16 +661,16 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
     for some device class of the fleet: an app that no device can host still
     has a well-defined, infeasible per-request model.
     """
-    violations = attachment_errors(
-        scenario.cloud.sites, scenario.carrier.sites, scenario.user.sites, scenario.input_nodes
-    )
-
     available: set[DeviceClass] = set()
     for plan in (scenario.cloud, scenario.carrier, scenario.user):
         available |= {cls for cls, count in plan.fleet.items() if count > 0 and plan.sites > 0}
-    for cls in CLASS_ORDER:
-        if cls in available and cls not in scenario.unit_price:
-            violations.append(f"unit_price is missing device class {cls.value!r}")
+    violations = [
+        f"unit_price is missing device class {cls.value!r}"
+        for cls in CLASS_ORDER
+        if cls in available and cls not in scenario.unit_price
+    ]
+    if not violations:  # the topology spec prices every class in ``available``
+        violations = topology_spec_errors(scenario.topology_spec())
 
     for entry in scenario.apps:
         app = entry.app

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import (
     DeviceClass,
@@ -168,19 +168,25 @@ class CandidateTable:
     bound admits a prefix that ``bisect`` finds.  Views are built on first
     use of their kind.  Entries whose response time or price is not finite
     (a transfer term that overflows) are left out of them: such a candidate
-    passes no bound or cannot be ranked, so it is never placed.
+    passes no bound or cannot be ranked, so it is never placed.  The LP
+    exporter keeps the state-free part of the table's models in
+    ``lp_skeleton``, built from the same finite entries on first export.
     """
 
-    __slots__ = ("entries", "by_price", "by_response_time")
+    __slots__ = ("entries", "by_price", "by_response_time", "lp_skeleton")
 
     def __init__(self, entries: tuple[TableEntry, ...]):
         self.entries = entries
         self.by_price: tuple[list[float], list[TableEntry]] | None = None
         self.by_response_time: tuple[list[float], list[TableEntry]] | None = None
+        self.lp_skeleton = None
+
+    def finite(self) -> Iterator[TableEntry]:
+        """The entries whose response time and price are both finite, nearest first."""
+        return (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
 
     def _sorted(self, metric) -> tuple[list[float], list[TableEntry]]:
-        finite = (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
-        ordered = sorted(finite, key=metric)
+        ordered = sorted(self.finite(), key=metric)
         return [metric(e) for e in ordered], ordered
 
     def view(self, kind: RequirementKind) -> tuple[list[float], list[TableEntry]]:

@@ -31,6 +31,16 @@ def edited_paper(tmp_path, old, new):
 # NAS.FT's per-link transfer time 8 * 1e308 / 0.5 overflows to inf.
 INFINITE_TRANSFER = ("transfer_data_mb = 0.2\nbandwidth_mbps = 2.0", "transfer_data_mb = 1e308\nbandwidth_mbps = 0.5")
 
+# A GPU's full cost, unit price x capacity x tier multiplier, overflows to inf.
+OVERFLOWING_UNIT_PRICE = ('"gpu": 6250.0', '"gpu": 1e308')
+GPU_COST_ERRORS = [f"{tier} gpu cost must be finite and >= 0" for tier in ("cloud", "carrier", "user")]
+
+
+def read_pinned():
+    pinned_path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pinned.json")
+    with open(pinned_path, encoding="utf-8") as handle:
+        return json.load(handle)
+
 
 class TestRun:
     def test_paper_all_patterns(self, tmp_path):
@@ -50,9 +60,7 @@ class TestRun:
         assert read(tmp_path / "trace_2.csv") == trace_csv_text(trace)
 
     def test_paper_outputs_match_pinned_digests(self, tmp_path):
-        pinned_path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pinned.json")
-        with open(pinned_path, encoding="utf-8") as handle:
-            pinned = json.load(handle)
+        pinned = read_pinned()
         code = main(["run", "--paper", "--pattern", "all", "--requests", "1000",
                      "--seed", str(pinned["seed"]), "--out", str(tmp_path)])
         assert code == 0
@@ -173,8 +181,34 @@ deadline_menus = {"only": [2.0]}
         assert "scenario error: app 'NAS.FT': per-link transfer time" in err and "not finite" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_overflowing_unit_price_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", edited_paper(tmp_path, *OVERFLOWING_UNIT_PRICE), "--pattern", "1",
+                     "--requests", "5", "--seed", "42", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert all(f"scenario error: {message}" in err for message in GPU_COST_ERRORS)
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestEmitLp:
+    def test_lp_stream_matches_pinned_digest(self):
+        # The lp-export benchmark stream: before each decision, the model of
+        # every bound of the request's ladder against the live residuals.
+        pinned = read_pinned()
+        scenario = paper_scenario()
+        topology = build_topology(scenario.topology_spec())
+        digest = hashlib.sha256()
+        for pattern in (1, 2, 3):
+            state = ResidualState.fresh(topology)
+            for request in generate_requests(scenario, PatternKind(pattern), 1000, pinned["seed"], topology=topology):
+                for bound in request.requirement.ladder():
+                    digest.update(to_lp_text(build_ilp(topology, state, request, bound)).encode("utf-8"))
+                outcome = solve_with_escalation(topology, state, request)
+                if outcome.placed:
+                    apply_placement(state, outcome.placement)
+        assert digest.hexdigest() == pinned["digests"]["lp-export"]["lp.txt"]
+
     def test_first_request_pattern2_optimum(self, tmp_path):
         out = tmp_path / "first.lp"
         code = main(["emit-lp", "--paper", "--pattern", "2", "--request-index", "1",
@@ -286,6 +320,12 @@ class TestValidate:
         assert main(["validate", "--scenario", edited_paper(tmp_path, *INFINITE_TRANSFER)]) == 1
         out = capsys.readouterr().out
         assert "violation: app 'NAS.FT': per-link transfer time" in out and "scenario ok" not in out
+
+    def test_overflowing_unit_price_exit_1(self, tmp_path, capsys):
+        assert main(["validate", "--scenario", edited_paper(tmp_path, *OVERFLOWING_UNIT_PRICE)]) == 1
+        captured = capsys.readouterr()
+        assert all(f"violation: {message}" in captured.out for message in GPU_COST_ERRORS)
+        assert "scenario ok" not in captured.out and "Traceback" not in captured.err
 
     def test_unparseable_exit_2(self, tmp_path):
         path = tmp_path / "broken.scn"

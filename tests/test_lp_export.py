@@ -1,15 +1,21 @@
+import dataclasses
+import math
 import random
 import re
 
 import pytest
 
-from edge_placer.lp_export import build_ilp, to_lp_text
+from edge_placer.lp_export import LpRow, build_ilp, to_lp_text, variable_name
+from edge_placer.model import DeviceClass, FleetSpec, LinkSpec, TierSpec, TopologySpec, build_topology
 from edge_placer.simulator import PatternKind, generate_requests
 from edge_placer.solver import (
     Bound,
+    PlacementRequest,
+    Requirement,
     RequirementKind,
     ResidualState,
     apply_placement,
+    candidate_table,
     solve_request,
     solve_with_escalation,
 )
@@ -266,3 +272,98 @@ class TestExternalSolver:
                 assert result.fun == pytest.approx(expected, abs=1e-6)
             checked += 1
         assert checked >= 40
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("kind, bound", [(RequirementKind.COST_CAP, 1e6), (RequirementKind.DEADLINE, 1e300)])
+    @pytest.mark.parametrize("transfer_mb", [1e308, 6.25e306])
+    def test_left_out_as_by_the_solver(self, paper, paper_topology, kind, bound, transfer_mb):
+        # Per link, 8 * MB / 0.5 Mbps is inf for 1e308 MB: every response
+        # time is inf, or NaN (0 * inf) at the user edge.  For 6.25e306 MB it
+        # is 1e308: user and carrier entries stay finite, while the two links
+        # up to the cloud overflow.
+        app = dataclasses.replace(paper.app_entry("NAS.FT").app, transfer_data_size=transfer_mb, bandwidth_demand=0.5)
+        request = PlacementRequest(1, app, paper_topology.input_nodes["input000"], Requirement(kind, (bound,)))
+        state = ResidualState.fresh(paper_topology)
+        model = build_ilp(paper_topology, state, request, Bound(kind, bound))
+        text = to_lp_text(model)
+        assert not {"inf", "-inf", "nan"} & set(text.lower().split())
+        parse_lp_text(text)
+        finite = {
+            variable_name(e.device.id, e.variant.device_class)
+            for e in candidate_table(paper_topology, request.input_node, app)
+            if math.isfinite(e.response_time) and math.isfinite(e.price)
+        }
+        assert set(model.binaries) == finite
+        assert len(finite) == (0 if transfer_mb == 1e308 else 9)
+        placement = solve_request(paper_topology, state, request, Bound(kind, bound))
+        if placement is None:
+            assert enumerate_optimum(text) is None
+        else:
+            expected = placement.response_time if kind is RequirementKind.COST_CAP else placement.price
+            assert enumerate_optimum(text) == pytest.approx(expected, abs=1e-9)
+
+
+def small_topology():
+    """One site per tier, CPUs only: the paper's input000 root path with other devices."""
+    cpu = (FleetSpec(DeviceClass.CPU, 1, 100.0, 1000.0),)
+    return build_topology(TopologySpec(
+        cloud=TierSpec(sites=1, fleet=cpu),
+        carrier=TierSpec(sites=1, fleet=cpu),
+        user=TierSpec(sites=1, fleet=cpu),
+        input_nodes=1,
+        user_carrier_link=LinkSpec(30.0, 100.0),
+        carrier_cloud_link=LinkSpec(100.0, 100.0),
+    ))
+
+
+class TestSkeletonCache:
+    def test_warm_text_equals_cold_text(self, paper):
+        warm = build_topology(paper.topology_spec())
+        compared = 0
+        for pattern in PatternKind:
+            state = ResidualState.fresh(warm)
+            for request in generate_requests(paper, pattern, 1000, 42, topology=warm):
+                if request.id % 7 == 0:
+                    cold = build_topology(paper.topology_spec())
+                    for bound in request.requirement.ladder():
+                        text = to_lp_text(build_ilp(warm, state, request, bound))
+                        assert text == to_lp_text(build_ilp(cold, state, request, bound))
+                        compared += 1
+                outcome = solve_with_escalation(warm, state, request)
+                if outcome.placed:
+                    apply_placement(state, outcome.placement)
+        assert compared > 3 * 142
+
+    def test_same_app_on_two_topologies(self, paper, paper_topology):
+        request = paper_request(paper, paper_topology)
+        small = small_topology()
+        on_small = dataclasses.replace(request, input_node=small.input_nodes["input000"])
+        bound = Bound(RequirementKind.COST_CAP, 1e6)
+        paper_model = build_ilp(paper_topology, ResidualState.fresh(paper_topology), request, bound)
+        small_model = build_ilp(small, ResidualState.fresh(small), on_small, bound)
+        assert small_model.binaries == ("x_carrier000_cpu00_cpu", "x_cloud000_cpu00_cpu", "x_user000_cpu00_cpu")
+        assert len(paper_model.binaries) == 21
+        assert paper_model == build_ilp(paper_topology, ResidualState.fresh(paper_topology), request, bound)
+
+    def test_bound_kinds_do_not_leak(self, paper):
+        topology = build_topology(paper.topology_spec())
+        request = paper_request(paper, topology)
+        state = ResidualState.fresh(topology)
+        cost_bound, deadline_bound = Bound(RequirementKind.COST_CAP, 7000.0), Bound(RequirementKind.DEADLINE, 6.0)
+        cost_first = build_ilp(topology, state, request, cost_bound)
+        deadline = build_ilp(topology, state, request, deadline_bound)
+        cost_again = build_ilp(topology, state, request, cost_bound)
+
+        entries = sorted(candidate_table(topology, request.input_node, request.app), key=lambda e: e.device.id)
+        names = [variable_name(e.device.id, e.variant.device_class) for e in entries]
+        response_times = tuple(zip(names, (e.response_time for e in entries)))
+        prices = tuple(zip(names, (e.price for e in entries)))
+        assert cost_first.name == "request1_cost_cap" and deadline.name == "request1_deadline"
+        assert cost_first.objective == response_times and cost_first.rows[1] == ("bound", prices, "<=", 7000.0)
+        assert deadline.objective == prices and deadline.rows[1] == LpRow("bound", response_times, "<=", 6.0)
+        assert cost_again == cost_first and to_lp_text(cost_again) == to_lp_text(cost_first)
+        # Each kind alone, on a topology that never saw the other kind.
+        for bound, model in ((cost_bound, cost_first), (deadline_bound, deadline)):
+            alone = build_topology(paper.topology_spec())
+            assert to_lp_text(build_ilp(alone, state, request, bound)) == to_lp_text(model)

@@ -379,3 +379,24 @@ class TestValidateScenario:
 
         scenario = replace(paper, input_nodes=301)
         assert any("input nodes" in v for v in validate_scenario(scenario))
+
+    def test_fleet_of_a_siteless_tier_needs_no_unit_price(self, paper):
+        from dataclasses import replace
+
+        from edge_placer.model import build_topology
+
+        # No user sites: the user fleet's FPGA exists nowhere, so neither
+        # validation nor the topology spec asks for its unit price.
+        def without_fpga(plan):
+            return replace(plan, fleet={c: n for c, n in plan.fleet.items() if c is not DeviceClass.FPGA})
+
+        scenario = replace(
+            paper,
+            cloud=without_fpga(paper.cloud),
+            carrier=without_fpga(paper.carrier),
+            user=TierPlan(sites=0, fleet={DeviceClass.FPGA: 1}, capacity={DeviceClass.FPGA: 100.0}),
+            input_nodes=0,
+            unit_price={c: p for c, p in paper.unit_price.items() if c is not DeviceClass.FPGA},
+        )
+        assert validate_scenario(scenario, require_placeable=False) == []
+        assert not any(d.device_class is DeviceClass.FPGA for d in build_topology(scenario.topology_spec()).devices.values())
