@@ -33,13 +33,11 @@ from .scenario import (
     ScenarioError,
     parse_scenario,
     paper_scenario,
-    scenario_hash,
     validate_scenario,
 )
 from .simulator import (
     PatternKind,
     Trace,
-    compute_metrics,
     generate_requests,
     run_simulation,
 )
@@ -59,50 +57,43 @@ CSV_COLUMNS = [
 ]
 
 
-def _f6(value: float) -> str:
-    return f"{value:.6f}"
+def _csv_field(value: str) -> str:
+    """``value`` as csv.writer writes it in the middle of a row (quoted when it must be)."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(["", value])
+    return buffer.getvalue()[1:-1]
+
+
+class _CsvFields(dict):
+    """Memo of ``_csv_field``: each distinct app name or device id goes through csv once."""
+
+    def __missing__(self, value: str) -> str:
+        field = self[value] = _csv_field(value)
+        return field
 
 
 def trace_csv_text(trace: Trace) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    fields = _CsvFields()
+    rows = [",".join(CSV_COLUMNS) + "\n"]
+    append = rows.append
     placed = 0
     response_sum = 0.0
+    average = ""  # the running average, formatted once per placement
     for outcome in trace.outcomes:
         request = outcome.request
-        if outcome.placed:
-            p = outcome.placement
-            placed += 1
-            response_sum += p.response_time
-            writer.writerow([
-                placed,
-                request.id,
-                request.app.name,
-                p.granted_bound.kind.value,
-                _f6(p.granted_bound.value),
-                p.tier.value,
-                p.device_id,
-                _f6(p.response_time),
-                _f6(p.price),
-                _f6(response_sum / placed),
-                0,
-            ])
-        else:
-            writer.writerow([
-                placed,
-                request.id,
-                request.app.name,
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                _f6(response_sum / placed) if placed else "",
-                1,
-            ])
-    return buffer.getvalue()
+        p = outcome.placement
+        if p is None:
+            append(f"{placed},{request.id},{fields[request.app.name]},,,,,,,{average},1\n")
+            continue
+        placed += 1
+        response_sum += p.response_time
+        average = f"{response_sum / placed:.6f}"
+        bound = p.granted_bound
+        append(
+            f"{placed},{request.id},{fields[request.app.name]},{bound.kind._value_},{bound.value:.6f},"
+            f"{p.tier._value_},{fields[p.device_id]},{p.response_time:.6f},{p.price:.6f},{average},0\n"
+        )
+    return "".join(rows)
 
 
 def _summary_table(results: list[tuple[PatternKind, Trace]]) -> str:
@@ -111,19 +102,22 @@ def _summary_table(results: list[tuple[PatternKind, Trace]]) -> str:
         "|--:|--:|--:|--:|--:|--:|--:|--:|--:|",
     ]
     for pattern, trace in results:
-        metrics = compute_metrics(trace)
-        if metrics.points:
-            last = metrics.points[-1]
-            avg = _f6(last.running_avg_response)
-            total_price = f"{last.cumulative_price:.2f}"
-            counts = last.tier_counts
-        else:
-            avg, total_price = "-", "0.00"
-            counts = {Tier.USER_EDGE: 0, Tier.CARRIER_EDGE: 0, Tier.CLOUD: 0}
+        # compute_metrics(trace).points[-1], without a point per placement.
+        placed = 0
+        response_sum = price_sum = 0.0
+        tiers = []
+        for outcome in trace.outcomes:
+            p = outcome.placement
+            if p is not None:
+                placed += 1
+                response_sum += p.response_time
+                price_sum += p.price
+                tiers.append(p.tier)
+        avg = f"{response_sum / placed:.6f}" if placed else "-"
         lines.append(
-            f"| {pattern.value} | {metrics.total_requests} | {metrics.total_placed} "
-            f"| {metrics.total_rejections} | {avg} | {total_price} "
-            f"| {counts[Tier.USER_EDGE]} | {counts[Tier.CARRIER_EDGE]} | {counts[Tier.CLOUD]} |"
+            f"| {pattern.value} | {len(trace.outcomes)} | {placed} "
+            f"| {len(trace.outcomes) - placed} | {avg} | {price_sum:.2f} "
+            f"| {tiers.count(Tier.USER_EDGE)} | {tiers.count(Tier.CARRIER_EDGE)} | {tiers.count(Tier.CLOUD)} |"
         )
     return "\n".join(lines)
 
@@ -190,7 +184,7 @@ def cmd_run(args) -> int:
         with open(summary_path, "w", encoding="utf-8") as handle:
             handle.write(
                 "# Placement simulation summary\n\n"
-                f"- scenario: {scenario.name} (sha256 {scenario_hash(scenario)[:12]})\n"
+                f"- scenario: {scenario.name} (sha256 {results[0][1].scenario_hash[:12]})\n"
                 f"- requests: {args.requests}, seed: {seed}\n\n"
                 + _summary_table(results)
                 + "\n"

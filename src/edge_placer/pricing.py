@@ -125,23 +125,49 @@ def transfer_time(data_size: float, bandwidth: float) -> Seconds:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     return _BITS_PER_BYTE * data_size / bandwidth
 
-def response_time(candidate: CandidatePlacement) -> Seconds:
-    """Processing time plus one payload transfer per path link.
+def per_link_time(app: AppType) -> Seconds:
+    """One transfer of the app's payload over one path link.
 
-    Each link contributes the same term because the transfer is paced by
-    the app's own reserved bandwidth, not by link capacity.
+    Each link takes the same time because the transfer is paced by the
+    app's own reserved bandwidth, not by link capacity.
     """
-    per_link = transfer_time(candidate.app.transfer_data_size, candidate.app.bandwidth_demand)
-    return candidate.variant.processing_time + len(candidate.path) * per_link
+    return transfer_time(app.transfer_data_size, app.bandwidth_demand)
+
+
+def path_response_time(variant: AppVariant, links: int, per_link: Seconds) -> Seconds:
+    """Processing time plus ``per_link`` for each of ``links`` path links."""
+    return variant.processing_time + links * per_link
+
+
+def device_price(device: DeviceNode, variant: AppVariant) -> Money:
+    """The reserved fraction of the device's monthly cost."""
+    return device.full_cost * (variant.resource_demand / device.capacity)
+
+
+def link_price(link: Link, app: AppType) -> Money:
+    """The reserved bandwidth fraction of one path link's monthly cost."""
+    return link.monthly_cost * (app.bandwidth_demand / link.bandwidth_capacity)
+
+
+def path_price(device_term: Money, link_terms) -> Money:
+    """The device term plus each link term, added in path order."""
+    total = device_term
+    for term in link_terms:
+        total += term
+    return total
+
+
+def response_time(candidate: CandidatePlacement) -> Seconds:
+    """Processing time plus one payload transfer per path link."""
+    return path_response_time(candidate.variant, len(candidate.path), per_link_time(candidate.app))
 
 
 def price(candidate: CandidatePlacement) -> Money:
     """Monthly price: reserved fractions of device and path-link costs."""
-    device = candidate.device
-    total = device.full_cost * (candidate.variant.resource_demand / device.capacity)
-    for link in candidate.path:
-        total += link.monthly_cost * (candidate.app.bandwidth_demand / link.bandwidth_capacity)
-    return total
+    return path_price(
+        device_price(candidate.device, candidate.variant),
+        [link_price(link, candidate.app) for link in candidate.path],
+    )
 
 
 def fits(candidate: CandidatePlacement, residuals: "ResidualState") -> bool:

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping
 
 from .model import Tier, Topology, ValidationError, build_topology
-from .rng import SplitMix64
+from .rng import splitmix64_outputs
 from .scenario import AppEntry, Scenario, scenario_hash
 from .solver import (
     PlacementRequest,
@@ -100,48 +100,44 @@ def generate_requests(
         raise ValidationError("request count must be >= 0")
     if topology is None:
         topology = build_topology(scenario.topology_spec())
-    input_ids = sorted(topology.input_nodes)
-    if n > 0 and not input_ids:
+    input_nodes = [topology.input_nodes[i] for i in sorted(topology.input_nodes)]
+    if n > 0 and not input_nodes:
         raise ValidationError("scenario has no input nodes to originate requests")
 
-    menus: dict[str, list[Requirement]] = {}
-    ladders: dict[str, Requirement] = {}
+    # Per app entry, in catalog order: the requirements a request of it draws
+    # from (pattern 1, draw 3) or the one it always gets (patterns 2 and 3).
+    choices: list[list[Requirement]] = []
     for entry in scenario.apps:
         app_name = entry.app.name
         if pattern is PatternKind.PATTERN1:
             menu = _pattern1_menu(entry)
             if not menu:
                 raise ValidationError(f"app {app_name!r} has an empty requirement menu")
-            menus[app_name] = menu
+            choices.append(menu)
         elif pattern is PatternKind.PATTERN2:
             if not entry.price_menu:
                 raise ValidationError(f"app {app_name!r} has an empty price menu")
-            ladders[app_name] = Requirement(RequirementKind.COST_CAP, entry.price_menu)
+            choices.append([Requirement(RequirementKind.COST_CAP, entry.price_menu)])
         else:
             if not entry.deadline_menu:
                 raise ValidationError(f"app {app_name!r} has an empty deadline menu")
-            ladders[app_name] = Requirement(RequirementKind.DEADLINE, entry.deadline_menu)
+            choices.append([Requirement(RequirementKind.DEADLINE, entry.deadline_menu)])
 
+    apps = [entry.app for entry in scenario.apps]
     cumulative = scenario.mix_cumulative()
-    rng = SplitMix64(seed)
+    draws_menu = pattern is PatternKind.PATTERN1
+    n_inputs = len(input_nodes)
+    outputs = splitmix64_outputs(seed)
     stream: RequestStream = []
-    for request_id in range(1, n + 1):
-        u = rng.next_double()
-        entry = scenario.apps[bisect_right(cumulative, u)]
-        input_id = input_ids[rng.next_below(len(input_ids))]
-        if pattern is PatternKind.PATTERN1:
-            menu = menus[entry.app.name]
-            requirement = menu[rng.next_below(len(menu))]
-        else:
-            requirement = ladders[entry.app.name]
-        stream.append(
-            PlacementRequest(
-                id=request_id,
-                app=entry.app,
-                input_node=topology.input_nodes[input_id],
-                requirement=requirement,
-            )
-        )
+    append = stream.append
+    # zip pulls request_id first, so it stops before drawing past the last
+    # request, then the app draw and the input draw (SplitMix64.next_double
+    # and next_below, written out); pattern 1 draws its menu index last.
+    for request_id, app_draw, input_draw in zip(range(1, n + 1), outputs, outputs):
+        k = bisect_right(cumulative, (app_draw >> 11) * 2.0**-53)
+        options = choices[k]
+        requirement = options[next(outputs) % len(options)] if draws_menu else options[0]
+        append(PlacementRequest(request_id, apps[k], input_nodes[input_draw % n_inputs], requirement))
     return stream
 
 
@@ -164,7 +160,7 @@ def run_simulation(
     outcomes = []
     for request in stream:
         outcome = solve_with_escalation(topology, state, request)
-        if outcome.placed:
+        if outcome.placement is not None:
             apply_placement(state, outcome.placement)
         outcomes.append(outcome)
     return Trace(

@@ -40,16 +40,16 @@ from .model import (
     Tier,
     Topology,
     ValidationError,
-    root_path_sites,
-    uplink_path,
 )
 from .pricing import (
     TOLERANCE,
     AppType,
     AppVariant,
-    CandidatePlacement,
-    price,
-    response_time,
+    device_price,
+    link_price,
+    path_price,
+    path_response_time,
+    per_link_time,
 )
 
 
@@ -204,16 +204,29 @@ def _table(topology: Topology, input_node: InputNode, app: AppType) -> Candidate
     key = (input_node.attached_user_edge, app)
     table = topology.candidate_tables.get(key)
     if table is None:
+        # One walk up from the user edge, nearest site first, extending the
+        # path and its price terms by one link per level.
+        per_link = per_link_time(app)
+        path: tuple[Link, ...] = ()
+        link_terms: tuple[float, ...] = ()
         entries = []
-        for site_id in root_path_sites(topology, input_node.id):
-            link_ids = uplink_path(topology, input_node.id, site_id)
-            path = tuple(topology.links[link_id] for link_id in link_ids)
+        site_id = input_node.attached_user_edge
+        while True:
             for device_id in topology.sites[site_id].devices:
                 device = topology.devices[device_id]
                 variant = app.variant_for(device.device_class)
                 if variant is not None:
-                    candidate = CandidatePlacement(app=app, variant=variant, device=device, path=path)
-                    entries.append(TableEntry(app, device, variant, path, response_time(candidate), price(candidate)))
+                    entries.append(TableEntry(
+                        app, device, variant, path,
+                        path_response_time(variant, len(path), per_link),
+                        path_price(device_price(device, variant), link_terms),
+                    ))
+            link = topology.uplink_by_child.get(site_id)
+            if link is None:
+                break
+            path += (link,)
+            link_terms += (link_price(link, app),)
+            site_id = link.parent_site
         table = topology.candidate_tables[key] = CandidateTable(tuple(entries))
     return table
 

@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 import os
 
@@ -6,7 +9,7 @@ import pytest
 
 from edge_placer.cli import CSV_COLUMNS, main, trace_csv_text
 from edge_placer.lp_export import build_ilp, to_lp_text
-from edge_placer.model import build_topology
+from edge_placer.model import Tier, build_topology
 from edge_placer.scenario import paper_scenario, serialize_scenario
 from edge_placer.simulator import PatternKind, compute_metrics, generate_requests, run_simulation
 from edge_placer.solver import ResidualState, apply_placement, solve_with_escalation
@@ -72,6 +75,23 @@ class TestRun:
         code = main(["run", "--paper", "--pattern", "1", "--requests", "0", "--seed", "1", "--out", str(tmp_path)])
         assert code == 0
         assert read(tmp_path / "trace_1.csv") == ",".join(CSV_COLUMNS) + "\n"
+        assert read(tmp_path / "summary.md").endswith("\n| 1 | 0 | 0 | 0 | - | 0.00 | 0 | 0 | 0 |\n")
+
+    def test_summary_rows_agree_with_compute_metrics(self, tmp_path, paper_runs):
+        code = main(["run", "--paper", "--pattern", "all", "--requests", "1000", "--seed", "42",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        rows = [line for line in read(tmp_path / "summary.md").splitlines() if line.startswith("| ")]
+        assert len(rows) == 4
+        for row, pattern in zip(rows[1:], PatternKind):
+            metrics = paper_runs.metrics(pattern, 42)
+            last = metrics.points[-1]
+            counts = last.tier_counts
+            assert row == (
+                f"| {pattern.value} | {metrics.total_requests} | {metrics.total_placed} "
+                f"| {metrics.total_rejections} | {last.running_avg_response:.6f} | {last.cumulative_price:.2f} "
+                f"| {counts[Tier.USER_EDGE]} | {counts[Tier.CARRIER_EDGE]} | {counts[Tier.CLOUD]} |"
+            )
 
     def test_missing_scenario_file(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.toml"), "--pattern", "1"]) == 2
@@ -189,6 +209,58 @@ deadline_menus = {"only": [2.0]}
         assert code == 2
         assert all(f"scenario error: {message}" in err for message in GPU_COST_ERRORS)
         assert "Traceback" not in err and not out.exists()
+
+
+def reference_csv_text(trace):
+    """The trace CSV as ``csv.writer`` writes it, field by field."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    placed = 0
+    response_sum = 0.0
+    for outcome in trace.outcomes:
+        request = outcome.request
+        average = f"{response_sum / placed:.6f}" if placed else ""
+        if outcome.placed:
+            p = outcome.placement
+            placed += 1
+            response_sum += p.response_time
+            writer.writerow([
+                placed, request.id, request.app.name, p.granted_bound.kind.value,
+                f"{p.granted_bound.value:.6f}", p.tier.value, p.device_id, f"{p.response_time:.6f}",
+                f"{p.price:.6f}", f"{response_sum / placed:.6f}", 0,
+            ])
+        else:
+            writer.writerow([placed, request.id, request.app.name, "", "", "", "", "", "", average, 1])
+    return buffer.getvalue()
+
+
+class TestTraceCsv:
+    def test_equals_csv_writer_rendering(self, paper):
+        topology = build_topology(paper.topology_spec())
+        for pattern in PatternKind:
+            for seed in (1, 2, 3, 4, 5):
+                trace = run_simulation(paper, pattern, 3000, seed, topology=topology)
+                assert trace_csv_text(trace) == reference_csv_text(trace), (pattern, seed)
+
+    def test_app_name_that_needs_quoting(self, paper, tmp_path):
+        name = 'MRI,"Q"\nx'
+        mri = paper.apps[1]
+        scenario = dataclasses.replace(
+            paper, apps=(paper.apps[0], dataclasses.replace(mri, app=dataclasses.replace(mri.app, name=name)))
+        )
+        trace = run_simulation(scenario, PatternKind.PATTERN2, 300, 7)
+        text = trace_csv_text(trace)
+        assert text == reference_csv_text(trace)
+        path = tmp_path / "trace_2.csv"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == CSV_COLUMNS and len(rows) == 301
+        apps = [row[CSV_COLUMNS.index("app")] for row in rows[1:]]
+        assert apps == [outcome.request.app.name for outcome in trace.outcomes]
+        assert {"NAS.FT", name} == set(apps)
+        assert main(["report", str(path)]) == 0
 
 
 class TestEmitLp:

@@ -108,6 +108,45 @@ class TestGenerateRequests:
             assert request.requirement.kind is kind
             assert request.requirement.bounds == (value,)
 
+    @pytest.mark.parametrize("pattern", list(PatternKind))
+    def test_stream_rebuilt_from_documented_draws(self, paper, paper_topology, pattern):
+        inputs = sorted(paper_topology.input_nodes)
+        cumulative = paper.mix_cumulative()
+        n = 2000
+        for seed in (1, 2, 3, 4, 5, 42):
+            rng = SplitMix64(seed)
+            expected = []
+            for request_id in range(1, n + 1):
+                u = rng.next_double()
+                entry = paper.apps[next(i for i, c in enumerate(cumulative) if u < c)]
+                input_id = inputs[rng.next_below(len(inputs))]
+                if pattern is PatternKind.PATTERN1:
+                    menu = [(RequirementKind.COST_CAP, v) for v in entry.price_menu]
+                    menu += [(RequirementKind.DEADLINE, v) for v in entry.deadline_menu]
+                    kind, value = menu[rng.next_below(len(menu))]
+                    bounds = (value,)
+                elif pattern is PatternKind.PATTERN2:
+                    kind, bounds = RequirementKind.COST_CAP, entry.price_menu
+                else:
+                    kind, bounds = RequirementKind.DEADLINE, entry.deadline_menu
+                expected.append((request_id, entry.app, input_id, kind, bounds))
+            stream = generate_requests(paper, pattern, n, seed, topology=paper_topology)
+            assert [
+                (r.id, r.app, r.input_node.id, r.requirement.kind, r.requirement.bounds) for r in stream
+            ] == expected, seed
+
+    def test_same_name_apps_keep_their_own_ladders(self, paper):
+        # The parser refuses repeated app names; a scenario built in code may hold them.
+        from dataclasses import replace
+
+        nas, mri = paper.apps
+        twins = replace(paper, apps=(nas, replace(mri, app=replace(mri.app, name=nas.app.name))))
+        stream = generate_requests(twins, PatternKind.PATTERN2, 200, 1)
+        ladders = {nas.app: nas.price_menu, twins.apps[1].app: mri.price_menu}
+        assert {r.app for r in stream} == set(ladders)
+        for request in stream:
+            assert request.requirement.bounds == ladders[request.app]
+
     def test_empty_menu_rejected(self, paper):
         from dataclasses import replace
 

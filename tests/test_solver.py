@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pickle
 import random
@@ -16,9 +17,11 @@ from edge_placer.model import (
     TopologySpec,
     ValidationError,
     build_topology,
+    root_path_sites,
+    uplink_path,
 )
 from edge_placer.lp_export import build_ilp, variable_name
-from edge_placer.pricing import AppType, AppVariant
+from edge_placer.pricing import AppType, AppVariant, price, response_time
 from edge_placer.simulator import MetricsPoint, PatternKind, generate_requests
 from edge_placer.solver import (
     Bound,
@@ -674,6 +677,63 @@ class TestLadderOracle:
                 metrics, ordered = topology.candidate_tables[key].view(kind)
                 assert sorted(ordered, key=id) == sorted(table, key=id)
                 assert metrics == [bound_metric(kind, e) for e in ordered] == sorted(metrics)
+
+
+def same_float(a, b):
+    """Exact float equality that also matches NaN with NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_table_matches_pricing(topology, input_node, app):
+    """Each entry holds exactly ``response_time``/``price`` of itself, on the uplink path of its site.
+
+    The table lists every compatible pair of every root-path site, nearest
+    site first and in the site's device order.
+    """
+    table = candidate_table(topology, input_node, app)
+    expected = [
+        (device_id, uplink_path(topology, input_node.id, site_id))
+        for site_id in root_path_sites(topology, input_node.id)
+        for device_id in topology.sites[site_id].devices
+        if app.variant_for(topology.devices[device_id].device_class) is not None
+    ]
+    assert [(e.device.id, [link.id for link in e.path]) for e in table] == expected
+    for entry in table:
+        assert entry.variant is app.variant_for(entry.device.device_class)
+        assert same_float(entry.response_time, response_time(entry)), entry.device.id
+        assert same_float(entry.price, price(entry)), entry.device.id
+    return table
+
+
+class TestTableArithmetic:
+    """The table build adds up the same terms, in the same order, as the pricing functions."""
+
+    @pytest.mark.parametrize("transfer_mb", [None, 1e308])
+    def test_every_paper_table(self, paper, transfer_mb):
+        topology = build_topology(paper.topology_spec())
+        apps = [entry.app for entry in paper.apps]
+        if transfer_mb is not None:
+            # NAS.FT's per-link term 8 * 1e308 / 0.5 overflows: user-edge
+            # response times are NaN (0 * inf), the others inf.
+            apps[0] = dataclasses.replace(apps[0], transfer_data_size=transfer_mb, bandwidth_demand=0.5)
+        first_input = {}
+        for node in topology.input_nodes.values():
+            first_input.setdefault(node.attached_user_edge, node)
+        assert len(first_input) == 60
+        non_finite = 0
+        for node in first_input.values():
+            for app in apps:
+                table = assert_table_matches_pricing(topology, node, app)
+                non_finite += sum(not math.isfinite(e.response_time) for e in table)
+        assert len(topology.candidate_tables) == 120
+        assert non_finite == (0 if transfer_mb is None else 60 * 21)
+
+    def test_ladder_oracle_forests(self):
+        rng = random.Random(8080)
+        for _ in range(300):
+            topology, _, request = ladder_instance(rng)
+            for node in topology.input_nodes.values():
+                assert_table_matches_pricing(topology, node, request.app)
 
 
 class TestRecords:
