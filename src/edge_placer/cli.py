@@ -1,7 +1,7 @@
 """Command-line front end: run simulations, emit LP files, validate, report.
 
 Exit codes: 0 success, 1 validation violations or report mismatches,
-2 invalid input (bad scenario, malformed CSV, out-of-range index),
+2 invalid input (unreadable, non-UTF-8 or bad scenario or CSV, out-of-range index),
 3 output I/O failure.
 
 Trace CSV format (one row per request, arrival order)::
@@ -24,7 +24,6 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .lp_export import build_ilp, to_lp_text
 from .model import Tier, ValidationError, build_topology
@@ -57,18 +56,13 @@ CSV_COLUMNS = [
 ]
 
 
-def _csv_field(value: str) -> str:
-    """``value`` as csv.writer writes it in the middle of a row (quoted when it must be)."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(["", value])
-    return buffer.getvalue()[1:-1]
-
-
 class _CsvFields(dict):
-    """Memo of ``_csv_field``: each distinct app name or device id goes through csv once."""
+    """Each distinct app name or device id as csv.writer writes it mid-row (quoted when it must be), built once."""
 
     def __missing__(self, value: str) -> str:
-        field = self[value] = _csv_field(value)
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(["", value])
+        field = self[value] = buffer.getvalue()[1:-1]
         return field
 
 
@@ -122,17 +116,25 @@ def _summary_table(results: list[tuple[PatternKind, Trace]]) -> str:
     return "\n".join(lines)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of ``path``; a read failure or a non-UTF-8 byte (with its line) is a ScenarioError."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return data.decode("utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ScenarioError(f"cannot read {what}: byte {data[exc.start]:#04x} is not UTF-8", line) from None
+
+
 def _load_scenario(args) -> Scenario:
     if getattr(args, "paper", False):
         return paper_scenario()
     if not args.scenario:
         raise ScenarioError("either --paper or --scenario PATH is required")
-    try:
-        with open(args.scenario, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    return parse_scenario(text)
+    return parse_scenario(_read_text(args.scenario, "scenario file"))
 
 
 def _load_valid_scenario(args, require_placeable: bool = True) -> Scenario | None:
@@ -157,9 +159,7 @@ def _seed(args) -> int:
 
 
 def _patterns(value: str) -> list[PatternKind]:
-    if value == "all":
-        return [PatternKind.PATTERN1, PatternKind.PATTERN2, PatternKind.PATTERN3]
-    return [PatternKind(int(value))]
+    return list(PatternKind) if value == "all" else [PatternKind(int(value))]
 
 
 def cmd_run(args) -> int:
@@ -242,77 +242,71 @@ def cmd_validate(args) -> int:
     return 0
 
 
-@dataclass
-class _TraceRows:
-    placed: list[dict]
-    total: int
-
-
-_FLOAT_COLUMNS = ("response_time_s", "price_yen", "running_avg_response_s")
 _TIER_VALUES = {tier.value for tier in Tier}
 
 
-def _read_trace_csv(path: str) -> _TraceRows:
+def _read_trace(path: str) -> tuple[int, list[list]]:
+    """Row count and each placed row's [response time, stored running average, tier], each row checked once.
+
+    Lists, not tuples: the cyclic collector untracks a tuple of atomic values, and freeing an untracked
+    object does not lower its allocation count, so the caller's next collections would come earlier.
+    """
+    row = 1
+    placed = []
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != CSV_COLUMNS:
+            if next(reader, None) != CSV_COLUMNS:
                 raise ScenarioError(f"{path}: unexpected or missing CSV header")
-            placed = []
-            total = 0
-            for row in reader:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ScenarioError(f"{path}: row {total + 2} has {len(row)} fields")
-                record = dict(zip(CSV_COLUMNS, row))
-                total += 1
-                if record["rejected"] == "1":
+            for row, fields in enumerate(reader, start=2):
+                if len(fields) != len(CSV_COLUMNS):
+                    raise ScenarioError(f"{path}: row {row} has {len(fields)} fields")
+                index, _, _, _, _, tier, _, response, price, average, rejected = fields
+                if rejected == "1":
                     continue
+                if rejected != "0":
+                    raise ScenarioError(f"{path}: row {row} has rejected {rejected!r}, not 0 or 1")
                 try:
-                    for column in _FLOAT_COLUMNS:
-                        record[column] = float(record[column])
-                    record["index"] = int(record["index"])
+                    int(index)
+                    numbers = float(response), float(price), float(average)
                 except ValueError:
-                    raise ScenarioError(f"{path}: row {total + 1} has non-numeric fields") from None
-                if not all(math.isfinite(record[column]) for column in _FLOAT_COLUMNS):
-                    raise ScenarioError(f"{path}: row {total + 1} has non-finite numbers")
-                if record["tier"] not in _TIER_VALUES:
-                    raise ScenarioError(f"{path}: row {total + 1} has unknown tier {record['tier']!r}")
-                placed.append(record)
-    except OSError as exc:
+                    raise ScenarioError(f"{path}: row {row} has non-numeric fields") from None
+                if not all(map(math.isfinite, numbers)):
+                    raise ScenarioError(f"{path}: row {row} has non-finite numbers")
+                if tier not in _TIER_VALUES:
+                    raise ScenarioError(f"{path}: row {row} has unknown tier {tier!r}")
+                placed.append([numbers[0], numbers[2], tier])
+    except (OSError, UnicodeDecodeError) as exc:
+        _read_text(path, path)  # raises the read failure, or names the line of the first byte that is not UTF-8
         raise ScenarioError(f"cannot read {path}: {exc}") from None
-    return _TraceRows(placed=placed, total=total)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ScenarioError(f"{path}: line {reader.line_num} cannot be read: {exc}") from None
+    return row - 1, placed
 
 
 def cmd_report(args) -> int:
     mismatches = 0
     for path in args.traces:
-        rows = _read_trace_csv(path)
-        print(f"\n## {path}: {rows.total} requests, {len(rows.placed)} placed, {rows.total - len(rows.placed)} rejected")
+        total, placed = _read_trace(path)
+        print(f"\n## {path}: {total} requests, {len(placed)} placed, {total - len(placed)} rejected")
+        step = max(1, len(placed) // 10)
+        table = ["| placements | avg response (s) | user | carrier | cloud |", "|--:|--:|--:|--:|--:|"]
+        counts = {"user": 0, "carrier": 0, "cloud": 0}
         response_sum = 0.0
-        recomputed = []
-        for i, record in enumerate(rows.placed, start=1):
-            response_sum += record["response_time_s"]
-            recomputed.append(response_sum / i)
-            if abs(recomputed[-1] - record["running_avg_response_s"]) > 1e-6:
+        for i, (response, stored, tier) in enumerate(placed, start=1):
+            response_sum += response
+            average = response_sum / i
+            if abs(average - stored) > 1e-6:
                 print(
                     f"replay mismatch at placement {i}: running average "
-                    f"{record['running_avg_response_s']:.6f} in file, {recomputed[-1]:.6f} recomputed"
+                    f"{stored:.6f} in file, {average:.6f} recomputed"
                 )
                 mismatches += 1
-        if not rows.placed:
-            continue
-        step = max(1, len(rows.placed) // 10)
-        print("| placements | avg response (s) | user | carrier | cloud |")
-        print("|--:|--:|--:|--:|--:|")
-        counts = {"user": 0, "carrier": 0, "cloud": 0}
-        for i, record in enumerate(rows.placed, start=1):
-            counts[record["tier"]] += 1
-            if i % step == 0 or i == len(rows.placed):
-                print(
-                    f"| {i} | {recomputed[i - 1]:.6f} "
-                    f"| {counts['user']} | {counts['carrier']} | {counts['cloud']} |"
-                )
+            counts[tier] += 1
+            if i % step == 0 or i == len(placed):
+                table.append(f"| {i} | {average:.6f} | {counts['user']} | {counts['carrier']} | {counts['cloud']} |")
+        if placed:
+            print("\n".join(table))
     return 1 if mismatches else 0
 
 

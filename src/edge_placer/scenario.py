@@ -268,16 +268,6 @@ def cost_performance_demo_scenario() -> Scenario:
 _TIER_KEYS = {Tier.CLOUD: "cloud", Tier.CARRIER_EDGE: "carrier", Tier.USER_EDGE: "user"}
 
 
-class _Doc:
-    """Parsed document: sections of key -> (value, line)."""
-
-    def __init__(self):
-        self.top: dict[str, tuple[Any, int]] = {}
-        self.sections: dict[str, dict[str, tuple[Any, int]]] = {}
-        self.apps: list[dict[str, tuple[Any, int]]] = []
-        self.section_lines: dict[str, int] = {}
-
-
 def _strip_comment(line: str) -> str:
     """Drop a trailing ``#`` comment, ignoring ``#`` inside JSON strings."""
     in_string = False
@@ -329,17 +319,41 @@ _VALUE_DECODER = json.JSONDecoder(
 )
 
 
-def _parse_lines(text: str) -> _Doc:
-    doc = _Doc()
-    current: dict[str, tuple[Any, int]] | None = doc.top
+class _Section(dict):
+    """One section's ``key -> (value, line)`` entries, each read once through ``take``."""
+
+    def __init__(self, name: str, line: int | None = None):
+        super().__init__()
+        self.name = name
+        self.line = line
+
+    def take(self, key: str, kind: type, bound: str = ""):
+        if key not in self:
+            raise ScenarioError(f"[{self.name}] is missing key {key!r}", self.line)
+        value, line = self.pop(key)
+        if kind in (int, float):
+            return _number(value, kind, repr(key), line, bound), line
+        if not isinstance(value, kind):
+            raise ScenarioError(f"{key!r} must be a {kind.__name__}", line)
+        return value, line
+
+    def finish(self):
+        for key, (_, line) in self.items():  # the first key that no ``take`` read
+            raise ScenarioError(f"unknown key {key!r} in [{self.name}]", line)
+
+
+def _parse_lines(text: str) -> tuple[dict[str, _Section], list[_Section]]:
+    """The sections by name, top-level keys under ``document``, and the ``[[apps]]`` entries."""
+    sections = {"document": _Section("document")}
+    apps: list[_Section] = []
+    current = sections["document"]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         if line == "[[apps]]":
-            entry: dict[str, tuple[Any, int]] = {}
-            doc.apps.append(entry)
-            current = entry
+            current = _Section(f"apps #{len(apps) + 1}", lineno)
+            apps.append(current)
             continue
         if line.startswith("[[") and line.endswith("]]"):
             raise ScenarioError(f"unknown repeated section {line}", lineno)
@@ -349,11 +363,9 @@ def _parse_lines(text: str) -> _Doc:
                 raise ScenarioError(f"unknown section [{name}]", lineno)
             if name == "apps":
                 raise ScenarioError("apps entries are written as [[apps]]", lineno)
-            if name in doc.sections:
+            if name in sections:
                 raise ScenarioError(f"duplicate section [{name}]", lineno)
-            doc.sections[name] = {}
-            doc.section_lines[name] = lineno
-            current = doc.sections[name]
+            current = sections[name] = _Section(name, lineno)
             continue
         key, sep, value_text = line.partition("=")
         if not sep:
@@ -361,71 +373,47 @@ def _parse_lines(text: str) -> _Doc:
         key = key.strip()
         try:
             value = _VALUE_DECODER.decode(value_text.strip())
+            if "\\u" in value_text:  # only a \u escape decodes to a lone surrogate, which UTF-8 cannot hold
+                _dump(value).encode("utf-8")
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid value for {key!r}: {exc.msg}", lineno) from None
+        except UnicodeEncodeError:
+            raise ScenarioError(f"invalid value for {key!r}: lone surrogate escape", lineno) from None
         except ValueError as exc:  # a non-finite or out-of-range number, or a repeated key
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
+        except RecursionError:
+            raise ScenarioError(f"invalid value for {key!r}: nested too deeply", lineno) from None
         if key in current:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         current[key] = (value, lineno)
-    return doc
+    return sections, apps
 
 
-def _number(value: Any, kind: type, what: str, line: int):
-    """``value`` as ``kind`` (int or float); booleans and other JSON types are refused."""
+def _number(value: Any, kind: type, what: str, line: int, bound: str = ""):
+    """``value`` as ``kind`` (int or float); refuses other JSON types, and values outside ``bound`` if given."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ScenarioError(f"{what} must be {'an integer' if kind is int else 'a number'}", line)
+    if bound and (value < 0 or (value == 0 and bound == "> 0")):
+        raise ScenarioError(f"{what} must be {bound}", line)
     return kind(value)
 
 
-class _SectionReader:
-    def __init__(self, name: str, data: dict[str, tuple[Any, int]], line: int = 0):
-        self.name = name
-        self.data = data
-        self.line = line
-        self.seen: set[str] = set()
-
-    def take(self, key: str, kind: type):
-        if key not in self.data:
-            raise ScenarioError(f"[{self.name}] is missing key {key!r}", self.line or None)
-        self.seen.add(key)
-        value, line = self.data[key]
-        if kind in (int, float):
-            return _number(value, kind, repr(key), line), line
-        if not isinstance(value, kind):
-            raise ScenarioError(f"{key!r} must be a {kind.__name__}", line)
-        return value, line
-
-    def finish(self):
-        for key, (_, line) in self.data.items():
-            if key not in self.seen:
-                raise ScenarioError(f"unknown key {key!r} in [{self.name}]", line)
-
-
-def _class_map(reader: _SectionReader, key: str, kind: type, allow_zero: bool) -> dict[DeviceClass, Any]:
-    raw, line = reader.take(key, dict)
+def _class_map(section: _Section, key: str, kind: type, bound: str) -> dict[DeviceClass, Any]:
+    raw, line = section.take(key, dict)
     out: dict[DeviceClass, Any] = {}
     for cls_name, value in raw.items():
         try:
             cls = DeviceClass(cls_name)
         except ValueError:
             raise ScenarioError(f"{key!r}: unknown device class {cls_name!r}", line) from None
-        value = _number(value, kind, f"{key!r}: value for {cls_name!r}", line)
-        if value < 0 or (value == 0 and not allow_zero):
-            op = ">=" if allow_zero else ">"
-            raise ScenarioError(f"{key!r}: value for {cls_name!r} must be {op} 0", line)
-        out[cls] = value
+        out[cls] = _number(value, kind, f"{key!r}: value for {cls_name!r}", line, bound)
     return out
 
 
 def _menu(raw: Any, key: str, line: int) -> tuple[float, ...]:
     if not isinstance(raw, list):
         raise ScenarioError(f"{key!r} must be an array", line)
-    values = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise ScenarioError(f"{key!r}: menu values must be positive numbers", line)
-        values.append(float(v))
+    values = [_number(v, float, f"{key!r}: menu value", line, "> 0") for v in raw]
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ScenarioError(f"{key!r}: menu values must be strictly increasing", line)
     return tuple(values)
@@ -433,9 +421,9 @@ def _menu(raw: Any, key: str, line: int) -> tuple[float, ...]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and schema-validate a scenario document."""
-    doc = _parse_lines(text)
+    sections, apps = _parse_lines(text)
 
-    top = _SectionReader("document", doc.top)
+    top = sections["document"]
     version, vline = top.take("schema_version", int)
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}", vline)
@@ -443,69 +431,57 @@ def parse_scenario(text: str) -> Scenario:
     top.finish()
 
     for section in ("topology", "pricing", "links", "requests"):
-        if section not in doc.sections:
+        if section not in sections:
             raise ScenarioError(f"missing section [{section}]")
-    if not doc.apps:
+    if not apps:
         raise ScenarioError("missing section [[apps]]: at least one app is required")
 
-    topo = _SectionReader("topology", doc.sections["topology"], doc.section_lines["topology"])
-    counts = {}
-    for key in ("cloud_sites", "carrier_sites", "user_sites", "input_nodes"):
-        value, line = topo.take(key, int)
-        if value < 0:
-            raise ScenarioError(f"{key!r} must be >= 0", line)
-        counts[key] = value
+    topo = sections["topology"]
+    count_keys = ("cloud_sites", "carrier_sites", "user_sites", "input_nodes")
+    counts = {key: topo.take(key, int, ">= 0")[0] for key in count_keys}
     plans: dict[Tier, TierPlan] = {}
     for tier, tier_key in _TIER_KEYS.items():
-        fleet = _class_map(topo, f"{tier_key}_fleet", int, allow_zero=True)
-        capacity = _class_map(topo, f"{tier_key}_capacity", float, allow_zero=False)
+        fleet = _class_map(topo, f"{tier_key}_fleet", int, ">= 0")
+        capacity = _class_map(topo, f"{tier_key}_capacity", float, "> 0")
         for cls, count in fleet.items():
             if count > 0 and cls not in capacity:
                 raise ScenarioError(
                     f"'{tier_key}_capacity' is missing device class {cls.value!r} "
                     f"used by '{tier_key}_fleet'",
-                    doc.section_lines["topology"],
+                    topo.line,
                 )
         plans[tier] = TierPlan(sites=counts[f"{tier_key}_sites"], fleet=fleet, capacity=capacity)
     topo.finish()
 
-    pricing = _SectionReader("pricing", doc.sections["pricing"], doc.section_lines["pricing"])
-    unit_price = _class_map(pricing, "unit_price", float, allow_zero=True)
-    carrier_multiplier, line = pricing.take("carrier_multiplier", float)
-    if carrier_multiplier <= 0:
-        raise ScenarioError("'carrier_multiplier' must be > 0", line)
-    user_multiplier, line = pricing.take("user_multiplier", float)
-    if user_multiplier <= 0:
-        raise ScenarioError("'user_multiplier' must be > 0", line)
+    pricing = sections["pricing"]
+    unit_price = _class_map(pricing, "unit_price", float, ">= 0")
+    carrier_multiplier, _ = pricing.take("carrier_multiplier", float, "> 0")
+    user_multiplier, _ = pricing.take("user_multiplier", float, "> 0")
     flat, _ = pricing.take("flat_server_pricing", bool)
     pricing.finish()
 
-    links = _SectionReader("links", doc.sections["links"], doc.section_lines["links"])
+    links = sections["links"]
     link_specs = {}
     for key in ("user_carrier", "carrier_cloud"):
         raw, line = links.take(key, dict)
         if set(raw) != {"bandwidth_mbps", "monthly_cost"}:
             raise ScenarioError(f"{key!r} must have exactly bandwidth_mbps and monthly_cost", line)
-        bandwidth = _number(raw["bandwidth_mbps"], float, f"{key!r}: bandwidth_mbps", line)
-        cost = _number(raw["monthly_cost"], float, f"{key!r}: monthly_cost", line)
-        if bandwidth <= 0:
-            raise ScenarioError(f"{key!r}: bandwidth_mbps must be > 0", line)
-        if cost < 0:
-            raise ScenarioError(f"{key!r}: monthly_cost must be >= 0", line)
-        link_specs[key] = LinkSpec(bandwidth_capacity=bandwidth, monthly_cost=cost)
+        link_specs[key] = LinkSpec(
+            bandwidth_capacity=_number(raw["bandwidth_mbps"], float, f"{key!r}: bandwidth_mbps", line, "> 0"),
+            monthly_cost=_number(raw["monthly_cost"], float, f"{key!r}: monthly_cost", line, ">= 0"),
+        )
     links.finish()
 
     app_types: list[AppType] = []
-    for i, entry in enumerate(doc.apps):
-        reader = _SectionReader(f"apps #{i + 1}", entry)
-        app_name, nline = reader.take("name", str)
+    for entry in apps:
+        app_name, nline = entry.take("name", str)
         if not app_name:
             raise ScenarioError("app name must be non-empty", nline)
         if any(a.name == app_name for a in app_types):
             raise ScenarioError(f"duplicate app name {app_name!r}", nline)
-        data_mb, _ = reader.take("transfer_data_mb", float)
-        bandwidth, _ = reader.take("bandwidth_mbps", float)
-        raw_variants, vline2 = reader.take("variants", list)
+        data_mb, _ = entry.take("transfer_data_mb", float)
+        bandwidth, _ = entry.take("bandwidth_mbps", float)
+        raw_variants, vline2 = entry.take("variants", list)
         variants = []
         for raw in raw_variants:
             if not isinstance(raw, dict) or set(raw) != {"device_class", "processing_time_s", "resource_demand"}:
@@ -523,7 +499,7 @@ def parse_scenario(text: str) -> Scenario:
                 variants.append(AppVariant(cls, processing_time, demand))
             except ValidationError as exc:
                 raise ScenarioError(str(exc), vline2) from None
-        reader.finish()
+        entry.finish()
         try:
             app_types.append(
                 AppType(
@@ -536,32 +512,25 @@ def parse_scenario(text: str) -> Scenario:
         except ValidationError as exc:
             raise ScenarioError(str(exc), nline) from None
 
-    requests = _SectionReader("requests", doc.sections["requests"], doc.section_lines["requests"])
-    mix_raw, mix_line = requests.take("mix", dict)
-    price_menus, pm_line = requests.take("price_menus", dict)
-    deadline_menus, dm_line = requests.take("deadline_menus", dict)
+    requests = sections["requests"]
+    tables = {key: requests.take(key, dict) for key in ("mix", "price_menus", "deadline_menus")}
     requests.finish()
     known_names = {a.name for a in app_types}
-    for field_name, table, line in (
-        ("mix", mix_raw, mix_line),
-        ("price_menus", price_menus, pm_line),
-        ("deadline_menus", deadline_menus, dm_line),
-    ):
+    for key, (table, line) in tables.items():
         for app_name in table:
             if app_name not in known_names:
-                raise ScenarioError(f"{field_name!r} references unknown app {app_name!r}", line)
+                raise ScenarioError(f"{key!r} references unknown app {app_name!r}", line)
+    (mix_raw, mix_line), (price_menus, pm_line), (deadline_menus, dm_line) = tables.values()
 
     entries = []
     for app_type in app_types:
         if app_type.name not in mix_raw:
             raise ScenarioError(f"'mix' is missing app {app_type.name!r}", mix_line)
-        weight = mix_raw[app_type.name]
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
-            raise ScenarioError(f"'mix' weight for {app_type.name!r} must be > 0", mix_line)
+        weight = _number(mix_raw[app_type.name], float, f"'mix' weight for {app_type.name!r}", mix_line, "> 0")
         entries.append(
             AppEntry(
                 app=app_type,
-                mix_weight=float(weight),
+                mix_weight=weight,
                 price_menu=_menu(price_menus.get(app_type.name, []), "price_menus", pm_line),
                 deadline_menu=_menu(deadline_menus.get(app_type.name, []), "deadline_menus", dm_line),
             )

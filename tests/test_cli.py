@@ -457,3 +457,76 @@ class TestReport:
         with pytest.raises(SystemExit) as excinfo:
             main(["report"])
         assert excinfo.value.code == 2
+
+    def test_stdout_matches_pinned_digests(self, tmp_path, capsys, monkeypatch):
+        # The seed-42 paper traces, then the tampered file of test_tampered_response_time_flagged.
+        monkeypatch.chdir(tmp_path)
+        main(["run", "--paper", "--pattern", "all", "--requests", "1000", "--seed", "42", "--out", "."])
+        main(["run", "--paper", "--pattern", "2", "--requests", "60", "--seed", "4", "--out", "tampered"])
+        lines = read("tampered/trace_2.csv").splitlines()
+        fields = lines[10].split(",")
+        fields[CSV_COLUMNS.index("response_time_s")] = "9.999999"
+        lines[10] = ",".join(fields)
+        (tmp_path / "tampered" / "trace_2.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        for traces, code, digest in (
+            (["trace_1.csv", "trace_2.csv", "trace_3.csv"], 0, "4de32c8fc3e56df87c9bd82d2b0b8e4ebfd12752bf49d284e015aac857e77128"),
+            (["tampered/trace_2.csv"], 1, "0d1a9655055eae44dcea30b1dcf77ded036e74abc4cfffbc53c0750aca5f40ea"),
+        ):
+            assert main(["report", *traces]) == code
+            assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest, traces
+
+
+def paper_bytes_with(old: bytes, new: bytes) -> bytes:
+    text = serialize_scenario(paper_scenario()).encode("utf-8")
+    assert old in text
+    return text.replace(old, new)
+
+
+SCENARIO_COMMANDS = [
+    ["validate"],
+    ["run", "--pattern", "1", "--requests", "5"],
+    ["emit-lp", "--pattern", "1", "--request-index", "3"],
+]
+
+
+class TestUnreadableInput:
+    """Bad bytes or values in an input file exit 2 with a line- or row-anchored message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", SCENARIO_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("old, new, line, message", [
+        (b'name = "paper-3tier"', b'name = "paper-\xff3tier"', 2, "is not UTF-8"),
+        (b'name = "paper-3tier"', b"name = " + b"[" * 100_000 + b"]" * 100_000, 2,
+         "invalid value for 'name': nested too deeply"),
+        (b'name = "paper-3tier"', b'name = "\\ud800"', 2, "invalid value for 'name': lone surrogate escape"),
+        (b'"MRI-Q"', b'"MRI-\\udc00Q"', 33, "invalid value for 'name': lone surrogate escape"),
+    ], ids=["non-utf8-byte", "deep-nesting", "lone-surrogate", "lone-surrogate-app-name"])
+    def test_bad_scenario_exit_2(self, tmp_path, capsys, argv, old, new, line, message):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(paper_bytes_with(old, new))
+        out = tmp_path / "out"
+        extra = [] if argv[0] == "validate" else ["--seed", "42", "--out", str(out)]
+        code = main([*argv, "--scenario", str(path), *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: line {line}: " in captured.err and message in captured.err
+        assert "Traceback" not in captured.err and "scenario ok" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("app", "NAS\udcffFT", "line {line}: cannot read {path}: byte 0xff is not UTF-8"),
+        ("request_id", "9" * 200_000, "{path}: line {line} cannot be read: field larger than field limit"),
+        ("rejected", "2", "{path}: row {line} has rejected '2', not 0 or 1"),
+    ], ids=["non-utf8-byte", "oversized-field", "rejected-not-0-or-1"])
+    def test_bad_trace_exit_2(self, tmp_path, capsys, column, value, message):
+        main(["run", "--paper", "--pattern", "2", "--requests", "30", "--seed", "4", "--out", str(tmp_path)])
+        path = tmp_path / "trace_2.csv"
+        lines = read(path).splitlines()
+        fields = lines[7].split(",")
+        fields[CSV_COLUMNS.index(column)] = value
+        lines[7] = ",".join(fields)
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message.format(path=path, line=8) in err and "Traceback" not in err

@@ -325,6 +325,43 @@ class TestParseErrors:
         assert code == 2
         assert f"line {line_of[anchor] + 1}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("cloud_sites = 5", "cloud_sites = -1", "'cloud_sites' must be >= 0"),
+        ("cloud_sites = 5", "cloud_sites = 5.5", "'cloud_sites' must be an integer"),
+        ("input_nodes = 300", "input_nodes = -300", "'input_nodes' must be >= 0"),
+        ('cloud_fleet = {"cpu": 8', 'cloud_fleet = {"cpu": -8', "'cloud_fleet': value for 'cpu' must be >= 0"),
+        ('user_capacity = {"cpu": 100.0', 'user_capacity = {"cpu": 0',
+         "'user_capacity': value for 'cpu' must be > 0"),
+        ('"fpga": 1200.0', '"fpga": -1200.0', "'unit_price': value for 'fpga' must be >= 0"),
+        ('"fpga": 1200.0', '"fpga": "1200"', "'unit_price': value for 'fpga' must be a number"),
+        ("carrier_multiplier = 1.25", "carrier_multiplier = 0", "'carrier_multiplier' must be > 0"),
+        ("user_multiplier = 1.5", "user_multiplier = -1.5", "'user_multiplier' must be > 0"),
+        ('"bandwidth_mbps": 30.0', '"bandwidth_mbps": 0', "'user_carrier': bandwidth_mbps must be > 0"),
+        ('"monthly_cost": 8000.0', '"monthly_cost": -1', "'carrier_cloud': monthly_cost must be >= 0"),
+        ('"MRI-Q": 1.0}', '"MRI-Q": 0}', "'mix' weight for 'MRI-Q' must be > 0"),
+        ('"MRI-Q": 1.0}', '"MRI-Q": "1"}', "'mix' weight for 'MRI-Q' must be a number"),
+        ("[7000.0,", "[-7000.0,", "'price_menus': menu value must be > 0"),
+        ("[4.0, 8.0]", "[4.0, true]", "'deadline_menus': menu value must be a number"),
+    ], ids=["sites-negative", "sites-fractional", "input-nodes-negative", "fleet-negative", "capacity-zero",
+            "unit-price-negative", "unit-price-string", "carrier-multiplier-zero", "user-multiplier-negative",
+            "link-bandwidth-zero", "link-cost-negative", "mix-weight-zero", "mix-weight-string",
+            "price-menu-negative", "deadline-menu-boolean"])
+    def test_numeric_rule_message_and_line(self, paper, old, new, message):
+        lines = serialize_scenario(paper).splitlines()
+        index = next(i for i, line in enumerate(lines) if old in line)
+        lines[index] = lines[index].replace(old, new)
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("\n".join(lines))
+        assert str(info.value) == f"line {index + 1}: {message}"
+        assert info.value.line == index + 1
+
+    def test_missing_app_key_names_entry_header(self, paper):
+        lines = serialize_scenario(paper).splitlines()
+        lines.remove('name = "MRI-Q"')
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("\n".join(lines))
+        assert str(info.value) == f"line {lines.index('[[apps]]', 26) + 1}: [apps #2] is missing key 'name'"
+
     def test_dataclasses_refuse_non_finite(self):
         nan, inf = float("nan"), float("inf")
         for bad in (nan, inf):
