@@ -25,7 +25,6 @@ import math
 import os
 import sys
 
-from .lp_export import build_ilp, to_lp_text
 from .model import Tier, ValidationError, build_topology
 from .scenario import (
     Scenario,
@@ -197,6 +196,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_emit_lp(args) -> int:
+    from .lp_export import build_ilp, to_lp_text  # only this command needs the exporter
+
     # An app that no device can host still has a model: an infeasible one.
     scenario = _load_valid_scenario(args, require_placeable=False)
     if scenario is None:
@@ -261,13 +262,17 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
             for row, fields in enumerate(reader, start=2):
                 if len(fields) != len(CSV_COLUMNS):
                     raise ScenarioError(f"{path}: row {row} has {len(fields)} fields")
-                index, _, _, _, _, tier, _, response, price, average, rejected = fields
+                index, request_id, _, _, _, tier, _, response, price, average, rejected = fields
+                if rejected not in ("0", "1"):
+                    raise ScenarioError(f"{path}: row {row} has rejected {rejected!r}, not 0 or 1")
+                count = len(placed) + (rejected == "0")  # placements up to and including this row
+                if index != str(count):
+                    raise ScenarioError(f"{path}: row {row} has index {index!r}, not {count}")
+                if request_id != str(row - 1):
+                    raise ScenarioError(f"{path}: row {row} has request_id {request_id!r}, not {row - 1}")
                 if rejected == "1":
                     continue
-                if rejected != "0":
-                    raise ScenarioError(f"{path}: row {row} has rejected {rejected!r}, not 0 or 1")
                 try:
-                    int(index)
                     numbers = float(response), float(price), float(average)
                 except ValueError:
                     raise ScenarioError(f"{path}: row {row} has non-numeric fields") from None

@@ -209,55 +209,40 @@ def build_topology(spec: TopologySpec) -> Topology:
     sites: dict[str, Site] = {}
     devices: dict[str, DeviceNode] = {}
     links: dict[str, Link] = {}
-    input_nodes: dict[str, InputNode] = {}
-
-    def add_sites(prefix: str, tier: Tier, tier_spec: TierSpec) -> list[str]:
+    parents: list[str] = []  # the site ids of the tier above
+    for tier, tier_spec, link_spec in (
+        (Tier.CLOUD, spec.cloud, None),
+        (Tier.CARRIER_EDGE, spec.carrier, spec.carrier_cloud_link),
+        (Tier.USER_EDGE, spec.user, spec.user_carrier_link),
+    ):
+        fleet = sorted(tier_spec.fleet, key=lambda e: CLASS_ORDER.index(e.device_class))
+        per_parent = tier_spec.sites // len(parents) if parents else 0
         ids = []
         for i in range(tier_spec.sites):
-            site_id = f"{prefix}{i:03d}"
+            site_id = f"{tier.value}{i:03d}"
             site_devices = []
-            for entry in sorted(tier_spec.fleet, key=lambda e: CLASS_ORDER.index(e.device_class)):
+            for entry in fleet:
                 for j in range(entry.count):
                     device_id = f"{site_id}_{entry.device_class.value}{j:02d}"
                     devices[device_id] = DeviceNode(
-                        id=device_id,
-                        site_id=site_id,
-                        tier=tier,
-                        device_class=entry.device_class,
-                        capacity=entry.capacity,
-                        full_cost=entry.full_cost,
+                        device_id, site_id, tier, entry.device_class, entry.capacity, entry.full_cost
                     )
                     site_devices.append(device_id)
-            sites[site_id] = Site(id=site_id, tier=tier, devices=tuple(site_devices))
+            sites[site_id] = Site(site_id, tier, tuple(site_devices))
+            if parents:
+                parent = parents[i // per_parent]
+                link_id = f"link_{site_id}_{parent}"
+                links[link_id] = Link(
+                    link_id, site_id, parent, link_spec.bandwidth_capacity, link_spec.monthly_cost
+                )
             ids.append(site_id)
-        return ids
+        parents = ids
 
-    cloud_ids = add_sites("cloud", Tier.CLOUD, spec.cloud)
-    carrier_ids = add_sites("carrier", Tier.CARRIER_EDGE, spec.carrier)
-    user_ids = add_sites("user", Tier.USER_EDGE, spec.user)
-
-    def attach(children: list[str], parents: list[str], link_spec: LinkSpec) -> None:
-        per_parent = len(children) // len(parents) if parents else 0
-        for i, child in enumerate(children):
-            parent = parents[i // per_parent]
-            link_id = f"link_{child}_{parent}"
-            links[link_id] = Link(
-                id=link_id,
-                child_site=child,
-                parent_site=parent,
-                bandwidth_capacity=link_spec.bandwidth_capacity,
-                monthly_cost=link_spec.monthly_cost,
-            )
-
-    if carrier_ids:
-        attach(carrier_ids, cloud_ids, spec.carrier_cloud_link)
-    if user_ids:
-        attach(user_ids, carrier_ids, spec.user_carrier_link)
-
-    per_user = spec.input_nodes // len(user_ids) if user_ids else 0
+    per_user = spec.input_nodes // len(parents) if parents else 0
+    input_nodes: dict[str, InputNode] = {}
     for n in range(spec.input_nodes):
         input_id = f"input{n:03d}"
-        input_nodes[input_id] = InputNode(id=input_id, attached_user_edge=user_ids[n // per_user])
+        input_nodes[input_id] = InputNode(input_id, parents[n // per_user])
 
     return Topology(sites=sites, devices=devices, links=links, input_nodes=input_nodes)
 

@@ -553,8 +553,13 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
+# Line breaks to str.splitlines, which reads the document, that JSON leaves unescaped.
+_LINE_BREAK_ESCAPES = {0x85: "\\u0085", 0x2028: "\\u2028", 0x2029: "\\u2029"}
+
+
 def _dump(value: Any) -> str:
-    return json.dumps(value, ensure_ascii=False)
+    text = json.dumps(value, ensure_ascii=False)
+    return text if text.isascii() else text.translate(_LINE_BREAK_ESCAPES)
 
 
 def _class_table(table: Mapping[DeviceClass, Any]) -> str:

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -530,3 +532,88 @@ class TestUnreadableInput:
         assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
         assert message.format(path=path, line=8) in err and "Traceback" not in err
+
+
+def tampered_trace(tmp_path, trace, row, column, value):
+    """Write ``trace`` as CSV with one field of report row ``row`` (the header is row 1) replaced; return its path."""
+    lines = trace_csv_text(trace).splitlines()
+    fields = lines[row - 1].split(",")
+    fields[CSV_COLUMNS.index(column)] = value
+    lines[row - 1] = ",".join(fields)
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestReportRowNumbers:
+    """``index`` is the placement count after a placed row and so far on a rejected one; ``request_id`` the arrival number."""
+
+    @pytest.mark.parametrize("rejected", ["0", "1"], ids=["placed-row", "rejected-row"])
+    @pytest.mark.parametrize("column, value", [
+        ("index", "999"),
+        ("index", "0"),
+        ("request_id", "999"),
+        ("request_id", "x"),
+    ])
+    def test_wrong_number_exit_2(self, tmp_path, capsys, paper_runs, rejected, column, value):
+        trace = paper_runs.trace(PatternKind.PATTERN1, 4, 470)  # rejections start at arrival 463
+        row = 2 + next(i for i, o in enumerate(trace.outcomes) if (o.placement is None) == (rejected == "1"))
+        expected = trace_csv_text(trace).splitlines()[row - 1].split(",")[CSV_COLUMNS.index(column)]
+        path = tampered_trace(tmp_path, trace, row, column, value)
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: row {row} has {column} {value!r}, not {expected}\n" in err
+        assert "Traceback" not in err
+
+
+class TestRefusals:
+    """Refusals of bad arguments, environment or files: exit code and message, never a traceback."""
+
+    def refused(self, capsys, argv, code, message):
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_run_without_scenario(self, tmp_path, capsys):
+        self.refused(capsys, ["run", "--out", str(tmp_path / "out")], 2,
+                     "error: either --paper or --scenario PATH is required\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_seed_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EDGE_PLACER_SEED", "4x")
+        self.refused(capsys, ["run", "--paper", "--requests", "5", "--out", str(tmp_path / "out")], 2,
+                     "error: EDGE_PLACER_SEED must be an integer, got '4x'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_request_count(self, tmp_path, capsys):
+        self.refused(capsys, ["run", "--paper", "--requests", "-3", "--out", str(tmp_path / "out")], 2,
+                     "error: request count must be >= 0\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--paper", "--pattern", "2", "--requests", "5", "--out"],
+        ["emit-lp", "--paper", "--pattern", "2", "--request-index", "1", "--out"],
+    ], ids=["run", "emit-lp"])
+    def test_unwritable_out_exit_3(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        self.refused(capsys, [*argv, str(blocker / "out")], 3, "I/O error: ")
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("app", "NAS.FT,extra", "has 12 fields"),
+        ("response_time_s", "fast", "has non-numeric fields"),
+        ("running_avg_response_s", "", "has non-numeric fields"),
+    ])
+    def test_bad_report_row(self, tmp_path, capsys, paper_runs, column, value, message):
+        path = tampered_trace(tmp_path, paper_runs.trace(PatternKind.PATTERN2, 4, 30), 6, column, value)
+        self.refused(capsys, ["report", str(path)], 2, f"error: {path}: row 6 {message}\n")
+
+
+def test_cli_import_leaves_lp_export_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, edge_placer.cli; print(sorted(m for m in sys.modules if m.startswith('edge_placer')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert "edge_placer.cli" in loaded and "edge_placer.lp_export" not in loaded

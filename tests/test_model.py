@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -12,6 +13,7 @@ from edge_placer.model import (
     ValidationError,
     build_topology,
     root_path_sites,
+    topology_spec_errors,
     uplink_path,
 )
 
@@ -26,6 +28,48 @@ def make_spec(cloud=1, carrier=1, user=1, inputs=1, fleet_count=1):
         user_carrier_link=LinkSpec(30.0, 5000.0),
         carrier_cloud_link=LinkSpec(100.0, 8000.0),
     )
+
+
+LINKS = {"user_carrier_link": LinkSpec(30.0, 5000.0), "carrier_cloud_link": LinkSpec(100.0, 8000.0)}
+CLOUD_ONLY = TopologySpec(
+    cloud=TierSpec(2, (FleetSpec(DeviceClass.GPU, 2, 16.0, 100000.0), FleetSpec(DeviceClass.CPU, 1, 10.0, 1000.0))),
+    carrier=TierSpec(0),
+    user=TierSpec(0),
+    input_nodes=0,
+    **LINKS,
+)
+FPGA_FIRST = TopologySpec(
+    cloud=TierSpec(2, (FleetSpec(DeviceClass.FPGA, 2, 100.0, 9000.0), FleetSpec(DeviceClass.CPU, 3, 10.0, 1000.0))),
+    carrier=TierSpec(4, (
+        FleetSpec(DeviceClass.FPGA, 1, 50.0, 7000.0),
+        FleetSpec(DeviceClass.GPU, 1, 8.0, 5000.0),
+        FleetSpec(DeviceClass.CPU, 2, 5.0, 800.0),
+    )),
+    user=TierSpec(12, (FleetSpec(DeviceClass.FPGA, 1, 25.0, 4000.0), FleetSpec(DeviceClass.CPU, 1, 2.5, 300.0))),
+    input_nodes=36,
+    **LINKS,
+)
+
+
+def canonical_dump(topology):
+    """Every site, device, link and input node, keyed and in dict order, one repr per line."""
+    lines = []
+    for mapping in (topology.sites, topology.devices, topology.links, topology.input_nodes):
+        lines += [f"{key} {value!r}" for key, value in mapping.items()]
+    return "\n".join(lines)
+
+
+class TestTopologyDigest:
+    """Pins every id, field and insertion order of built topologies (sha256 taken before build_topology's rewrite)."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("paper", "6e845b299b66ca50c6fbeea403fdab18b8cb6c4dafa5e951f568fe72c1fa1e39"),
+        ("cloud_only", "61199dc38575555c16a04d0d303ff993548e6ced3254e232a6f908c7a0e3d82e"),
+        ("fpga_first", "fd7c55c36e67367fc73eaa03357d1a2f8291e52a00ea913eb15f498fb67ab9d1"),
+    ])
+    def test_canonical_dump_digest(self, paper, name, digest):
+        spec = {"paper": paper.topology_spec(), "cloud_only": CLOUD_ONLY, "fpga_first": FPGA_FIRST}[name]
+        assert hashlib.sha256(canonical_dump(build_topology(spec)).encode()).hexdigest() == digest
 
 
 class TestBuildTopology:
@@ -104,6 +148,18 @@ class TestBuildTopology:
         )
         with pytest.raises(ValidationError, match=f"{match} must be finite"):
             build_topology(bad)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"cloud": TierSpec(sites=-1)}, "cloud site count is negative"),
+        ({"carrier": TierSpec(sites=1, fleet=(FleetSpec(DeviceClass.GPU, -2, 8.0, 500.0),))},
+         "carrier gpu server count is negative"),
+        ({"input_nodes": -1}, "input node count is negative"),
+    ])
+    def test_negative_count_rejected(self, change, message):
+        spec = dataclasses.replace(make_spec(), **change)
+        assert topology_spec_errors(spec) == [message]
+        with pytest.raises(ValidationError, match=f"^invalid topology spec: {message}$"):
+            build_topology(spec)
 
     def test_balanced_attachment(self, paper_topology):
         # user i -> carrier i//3, carrier j -> cloud j//4, input n -> user n//5

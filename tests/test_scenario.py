@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -113,6 +114,12 @@ class TestRoundTrip:
 
     def test_hash_stable(self, paper):
         assert scenario_hash(paper) == scenario_hash(parse_scenario(serialize_scenario(paper)))
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+    def test_splitlines_breaks_in_names_round_trip(self, paper, char):
+        # str.splitlines breaks lines at these; JSON would leave them raw.
+        scenario = dataclasses.replace(paper, name=f"a{char}b")
+        assert parse_scenario(serialize_scenario(scenario)) == scenario
 
     def test_generated_scenarios_round_trip(self):
         rng = random.Random(1312)
