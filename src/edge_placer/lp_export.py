@@ -21,7 +21,9 @@ it is built once per candidate table, lazily, and cached on it with its
 LP text rendered (``CandidateTable.lp_skeleton``); both bound kinds share
 it.  Each ``build_ilp`` call fills in the name, the bound value and the
 residuals, and ``to_lp_text`` formats only those numbers plus one
-coefficient per device row.
+coefficient per device row.  The skeleton also keeps the last model's
+residual rows, reused while their residual is the same float object, so
+the models of one request's ladder build each residual row once.
 """
 
 from __future__ import annotations
@@ -69,13 +71,14 @@ def _rendered(items, render) -> _Rendered:
 
 
 class _Skeleton(NamedTuple):
-    """The state-free part of every model of one candidate table."""
+    """The state-free part of every model of one candidate table, and the last model's residual rows."""
 
     response_time: _Rendered  # objective terms under a cost cap, bound terms under a deadline
     price: _Rendered  # the other way round
     assign: LpRow
-    device_rows: tuple[tuple[str, tuple[Term, ...], str], ...]  # row name, terms, device id
-    link_rows: tuple[tuple[str, _Rendered, str], ...]  # row name, terms, link id
+    device_ids: tuple[str, ...]  # the residuals of the device rows,
+    link_ids: tuple[str, ...]  # then of the link rows
+    residual_rows: list[LpRow]  # the last model's device and link rows; right-hand side None before
     binaries: _Rendered
 
 
@@ -93,17 +96,18 @@ def _skeleton(table: CandidateTable, bandwidth_demand: float) -> _Skeleton:
         term = (var, bandwidth_demand)
         for link in entry.path:
             link_terms.setdefault(link.id, []).append(term)
+    link_ids = sorted(link_terms)
     return _Skeleton(
         response_time=_rendered(zip(names, (e.response_time for e in entries)), _terms),
         price=_rendered(zip(names, (e.price for e in entries)), _terms),
         assign=LpRow("assign", _rendered(((var, 1.0) for var in names), _terms), "=", 1.0),
-        device_rows=tuple(  # row names repeat across tables like variable names
-            (sys.intern(f"cap_{e.device.id}"), ((var, e.variant.resource_demand),), e.device.id)
-            for var, e in zip(names, entries)
-        ),
-        link_rows=tuple(
-            (f"cap_{link_id}", _rendered(link_terms[link_id], _terms), link_id) for link_id in sorted(link_terms)
-        ),
+        device_ids=tuple(e.device.id for e in entries),
+        link_ids=tuple(link_ids),
+        residual_rows=[  # row names repeat across tables like variable names
+            *(LpRow(sys.intern(f"cap_{e.device.id}"), ((var, e.variant.resource_demand),), "<=", None)
+              for var, e in zip(names, entries)),
+            *(LpRow(f"cap_{link_id}", _rendered(link_terms[link_id], _terms), "<=", None) for link_id in link_ids),
+        ],
         binaries=_rendered(names, _binaries),
     )
 
@@ -125,10 +129,14 @@ def build_ilp(
         objective, bound_terms = skeleton.price, skeleton.response_time
     device_remaining = state.device_remaining
     link_remaining = state.link_remaining
-    rows = [skeleton.assign, LpRow("bound", bound_terms, "<=", bound.value)]
-    rows += [LpRow(name, terms, "<=", device_remaining[device_id]) for name, terms, device_id in skeleton.device_rows]
-    rows += [LpRow(name, terms, "<=", link_remaining[link_id]) for name, terms, link_id in skeleton.link_rows]
-    return IlpModel(f"request{request.id}_{bound.kind.value}", objective, tuple(rows), skeleton.binaries)
+    residuals = [device_remaining[device_id] for device_id in skeleton.device_ids]
+    residuals += [link_remaining[link_id] for link_id in skeleton.link_ids]
+    # Each row is checked against this state's residual, so threads never use another state's row.
+    rows = [row if row.rhs is rhs else LpRow(row.name, row.terms, "<=", rhs)
+            for row, rhs in zip(skeleton.residual_rows, residuals)]
+    skeleton.residual_rows[:] = rows
+    rows = (skeleton.assign, LpRow("bound", bound_terms, "<=", bound.value), *rows)
+    return IlpModel(f"request{request.id}_{bound.kind.value}", objective, rows, skeleton.binaries)
 
 
 def _terms(terms: tuple[Term, ...]) -> str:

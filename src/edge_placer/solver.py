@@ -68,6 +68,10 @@ class Bound:
         """A single bound is a one-bound ladder."""
         return (self.value,)
 
+    @property
+    def rungs(self) -> tuple[Bound, ...]:
+        return (self,)
+
 
 @dataclass(frozen=True, slots=True)
 class Requirement:
@@ -75,6 +79,8 @@ class Requirement:
 
     kind: RequirementKind
     bounds: tuple[float, ...]
+    # One Bound per value, built once: the placements granted on a rung share it.
+    rungs: tuple[Bound, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.bounds:
@@ -83,9 +89,10 @@ class Requirement:
             raise ValidationError("requirement bounds must be finite and > 0")
         if any(a >= b for a, b in zip(self.bounds, self.bounds[1:])):
             raise ValidationError("requirement bounds must be strictly increasing")
+        object.__setattr__(self, "rungs", tuple(Bound(self.kind, value) for value in self.bounds))
 
     def ladder(self) -> list[Bound]:
-        return [Bound(self.kind, value) for value in self.bounds]
+        return list(self.rungs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +151,7 @@ class TableEntry(NamedTuple):
     """One compatible (device, variant) pair with its static response time and price.
 
     It carries the fields of a ``CandidatePlacement``, so the pricing
-    functions accept it as one.
+    functions accept it as one, and its path's link ids for a placement.
     """
 
     app: AppType
@@ -153,6 +160,11 @@ class TableEntry(NamedTuple):
     path: tuple[Link, ...]
     response_time: float
     price: float
+    link_ids: tuple[str, ...]
+
+
+_RESPONSE_TIME = attrgetter("response_time")
+_PRICE = attrgetter("price")
 
 
 def _bound_metric(kind: RequirementKind, entry: TableEntry) -> float:
@@ -193,10 +205,10 @@ class CandidateTable:
         # Two attributes, not a dict keyed by kind: an enum hashes in Python code.
         if kind is RequirementKind.COST_CAP:
             if self.by_price is None:
-                self.by_price = self._sorted(attrgetter("price"))
+                self.by_price = self._sorted(_PRICE)
             return self.by_price
         if self.by_response_time is None:
-            self.by_response_time = self._sorted(attrgetter("response_time"))
+            self.by_response_time = self._sorted(_RESPONSE_TIME)
         return self.by_response_time
 
 
@@ -208,6 +220,7 @@ def _table(topology: Topology, input_node: InputNode, app: AppType) -> Candidate
         # path and its price terms by one link per level.
         per_link = per_link_time(app)
         path: tuple[Link, ...] = ()
+        link_ids: tuple[str, ...] = ()
         link_terms: tuple[float, ...] = ()
         entries = []
         site_id = input_node.attached_user_edge
@@ -220,11 +233,13 @@ def _table(topology: Topology, input_node: InputNode, app: AppType) -> Candidate
                         app, device, variant, path,
                         path_response_time(variant, len(path), per_link),
                         path_price(device_price(device, variant), link_terms),
+                        link_ids,
                     ))
             link = topology.uplink_by_child.get(site_id)
             if link is None:
                 break
             path += (link,)
+            link_ids += (link.id,)
             link_terms += (link_price(link, app),)
             site_id = link.parent_site
         table = topology.candidate_tables[key] = CandidateTable(tuple(entries))
@@ -236,11 +251,11 @@ def candidate_table(topology: Topology, input_node: InputNode, app: AppType) -> 
     return _table(topology, input_node, app).entries
 
 
-def _granted(bounds: tuple[float, ...], metric: float) -> float:
-    """The tightest bound of a ladder that admits ``metric``, which the loosest bound must admit."""
-    for b in bounds:
-        if metric <= b + TOLERANCE:
-            return b
+def _granted(rungs: tuple[Bound, ...], metric: float) -> Bound:
+    """The tightest rung of a ladder that admits ``metric``, which the loosest rung must admit."""
+    for rung in rungs:
+        if metric <= rung.value + TOLERANCE:
+            return rung
 
 
 def feasible_candidates(
@@ -259,13 +274,12 @@ def feasible_candidates(
     passes that bound.  Listed in ascending order of the bound metric;
     empty when nothing fits at any bound.
     """
-    bounds = bound.bounds
     metrics, ordered = _table(topology, request.input_node, request.app).view(bound.kind)
     device_remaining = state.device_remaining
     link_remaining = state.link_remaining
     bandwidth = request.app.bandwidth_demand
     admitted: list[TableEntry] = []
-    i, stop = 0, bisect_right(metrics, bounds[-1] + TOLERANCE)
+    i, stop = 0, bisect_right(metrics, bound.bounds[-1] + TOLERANCE)
     while i < stop:
         entry = ordered[i]
         i += 1
@@ -276,7 +290,7 @@ def feasible_candidates(
                 break
         else:
             if not admitted:
-                stop = bisect_right(metrics, _granted(bounds, metrics[i - 1]) + TOLERANCE, i, stop)
+                stop = bisect_right(metrics, _granted(bound.rungs, metrics[i - 1]).value + TOLERANCE, i, stop)
             admitted.append(entry)
     return admitted
 
@@ -286,22 +300,22 @@ def _select(entries: list[TableEntry], kind: RequirementKind) -> TableEntry:
 
     Primary metric per bound kind, ties within TOLERANCE broken by the
     secondary metric, then by tier closest to the user, then by smallest
-    device id.
+    device id.  Along one root path, a shorter path is a closer tier.
     """
     if len(entries) == 1:
         return entries[0]
     if kind is RequirementKind.COST_CAP:
-        scored = [(e.response_time, e.price, e) for e in entries]
+        primary, secondary = _RESPONSE_TIME, _PRICE
     else:
-        scored = [(e.price, e.response_time, e) for e in entries]
-    best_primary = min(s[0] for s in scored)
-    scored = [s for s in scored if s[0] <= best_primary + TOLERANCE]
-    if len(scored) > 1:
-        best_secondary = min(s[1] for s in scored)
-        scored = [s for s in scored if s[1] <= best_secondary + TOLERANCE]
-    if len(scored) == 1:
-        return scored[0][2]
-    return min(scored, key=lambda s: (s[2].device.tier.distance_from_user, s[2].device.id))[2]
+        primary, secondary = _PRICE, _RESPONSE_TIME
+    cut = min(map(primary, entries)) + TOLERANCE
+    entries = [e for e in entries if primary(e) <= cut]
+    if len(entries) > 1:
+        cut = min(map(secondary, entries)) + TOLERANCE
+        entries = [e for e in entries if secondary(e) <= cut]
+    if len(entries) == 1:
+        return entries[0]
+    return min(entries, key=lambda e: (len(e.path), e.device.id))
 
 
 def solve_request(
@@ -313,25 +327,16 @@ def solve_request(
     """Optimal placement under the tightest admitting bound of a ladder, or None.
 
     ``bound`` is a ``Requirement`` or a single ``Bound``; the placement's
-    ``granted_bound`` is the ladder value that admitted it.
+    ``granted_bound`` is the ladder rung that admitted it.
     """
     entries = feasible_candidates(topology, state, request, bound)
     if not entries:
         return None
-    kind = bound.kind
-    granted = _granted(bound.bounds, _bound_metric(kind, entries[0]))
-    _, device, variant, path, r, p = _select(entries, kind)
+    granted = _granted(bound.rungs, _bound_metric(bound.kind, entries[0]))
+    _, device, variant, _, r, p, link_ids = _select(entries, bound.kind)
     return Placement(
-        request_id=request.id,
-        device_id=device.id,
-        tier=device.tier,
-        variant_class=variant.device_class,
-        path_link_ids=tuple(link.id for link in path),
-        response_time=r,
-        price=p,
-        granted_bound=Bound(kind, granted),
-        resource_demand=variant.resource_demand,
-        bandwidth_demand=request.app.bandwidth_demand,
+        request.id, device.id, device.tier, variant.device_class, link_ids,
+        r, p, granted, variant.resource_demand, request.app.bandwidth_demand,
     )
 
 

@@ -367,3 +367,26 @@ class TestSkeletonCache:
         for bound, model in ((cost_bound, cost_first), (deadline_bound, deadline)):
             alone = build_topology(paper.topology_spec())
             assert to_lp_text(build_ilp(alone, state, request, bound)) == to_lp_text(model)
+
+    def test_residual_rows_follow_the_state(self, paper):
+        topology = build_topology(paper.topology_spec())
+        request = paper_request(paper, topology)
+        ladder = [Bound(RequirementKind.COST_CAP, 7000.0), Bound(RequirementKind.COST_CAP, 9000.0)]
+        fresh = ResidualState.fresh(topology)
+        first, second = (build_ilp(topology, fresh, request, bound) for bound in ladder)
+        assert all(a is b for a, b in zip(first.rows[2:], second.rows[2:]))
+
+        device_id = first.rows[2].name[len("cap_"):]
+        link_id = first.rows[-1].name[len("cap_"):]
+        full, signed = (ResidualState(dict(fresh.device_remaining), dict(fresh.link_remaining)) for _ in range(2))
+        full.device_remaining[device_id] = 0.0
+        signed.device_remaining[device_id] = -0.0  # equal to 0.0, written "-0"
+        full.link_remaining[link_id] = signed.link_remaining[link_id] = fresh.link_remaining[link_id] / 2
+        for state in (full, signed, fresh, full):  # states take turns on one cached skeleton
+            model = build_ilp(topology, state, request, ladder[0])
+            cold = build_ilp(build_topology(paper.topology_spec()), state, request, ladder[0])
+            assert model == cold and to_lp_text(model) == to_lp_text(cold)
+            rhs = {row.name: row.rhs for row in model.rows}
+            assert rhs[f"cap_{device_id}"] is state.device_remaining[device_id]
+            assert rhs[f"cap_{link_id}"] is state.link_remaining[link_id]
+        assert " <= -0\n" in to_lp_text(build_ilp(topology, signed, request, ladder[0]))

@@ -1,5 +1,6 @@
-"""Property tests: build_topology against topology_spec_errors, and the scenario text round trip."""
+"""Property tests: build_topology against topology_spec_errors, the scenario text round trip, and the solver against an oracle."""
 
+import dataclasses
 import math
 
 import pytest
@@ -21,6 +22,16 @@ from edge_placer.model import (  # noqa: E402
 )
 from edge_placer.pricing import AppType, AppVariant  # noqa: E402
 from edge_placer.scenario import AppEntry, Scenario, TierPlan, parse_scenario, serialize_scenario  # noqa: E402
+from edge_placer.solver import (  # noqa: E402
+    Bound,
+    PlacementRequest,
+    Requirement,
+    RequirementKind,
+    ResidualState,
+    candidate_table,
+    solve_with_escalation,
+)
+from test_solver import TOL, oracle_solve  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -146,3 +157,89 @@ def scenarios(draw):
 @given(scenarios())
 def test_serialized_scenario_parses_back(scenario):
     assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+@st.composite
+def tied_requests(draw):
+    """A small forest, residuals and a request whose candidates tie across tiers.
+
+    Every tier gets the same fleet, its costs scaled by a factor of its own,
+    so a fleet that costs nothing ties prices exactly; links that cost 1e-10
+    per month add less than 1e-9 to them.
+    An app that moves no data ties response times exactly, and one that
+    moves 1e-11 MB adds less than 1e-9 per link; two processing times
+    5e-10 s apart tie within the tolerance too.  Metrics that do not tie
+    differ by far more than the tolerance, so it groups no chains.
+    Ladder values sit at candidate metrics, offset inside and outside the
+    tolerance window.
+    """
+    classes = st.lists(st.sampled_from(list(DeviceClass)), min_size=1, max_size=3, unique=True)
+    fleet = tuple(
+        FleetSpec(cls, draw(st.integers(1, 2)), draw(st.sampled_from([4.0, 10.0])),
+                  draw(st.sampled_from([0.0, 3000.0, 9000.0])))
+        for cls in draw(classes)
+    )
+
+    def tier(sites, scale):
+        return TierSpec(sites, tuple(dataclasses.replace(e, full_cost=e.full_cost * scale) for e in fleet))
+
+    def link():
+        return LinkSpec(draw(st.sampled_from([1.0, 4.0])), draw(st.sampled_from([0.0, 1e-10, 1e-10, 500.0])))
+
+    carrier = draw(st.integers(1, 2))
+    user = carrier * draw(st.integers(1, 2))
+    scales = draw(st.permutations([1.0, 0.5, 2.0]))
+    topology = build_topology(TopologySpec(
+        cloud=tier(1, scales[0]), carrier=tier(carrier, scales[1]), user=tier(user, scales[2]), input_nodes=user,
+        user_carrier_link=link(), carrier_cloud_link=link(),
+    ))
+    app = AppType(
+        "probe",
+        draw(st.sampled_from([0.0, 1e-11, 1e-11, 2.0])),
+        draw(st.sampled_from([0.5, 1.0, 2.5])),
+        tuple(
+            AppVariant(cls, draw(st.sampled_from([1.0, 4.0, 4.0 + 5e-10, 9.0])), draw(st.sampled_from([2.0, 5.0])))
+            for cls in draw(classes)
+        ),
+    )
+    state = ResidualState.fresh(topology)
+    for device_id in sorted(state.device_remaining):
+        state.device_remaining[device_id] *= draw(st.sampled_from([1.0, 1.0, 0.5, 0.0]))
+    for link_id in sorted(state.link_remaining):
+        state.link_remaining[link_id] *= draw(st.sampled_from([1.0, 1.0, 0.2]))
+
+    input_node = topology.input_nodes[draw(st.sampled_from(sorted(topology.input_nodes)))]
+    kind = draw(st.sampled_from(list(RequirementKind)))
+    metrics = sorted({
+        e.price if kind is RequirementKind.COST_CAP else e.response_time
+        for e in candidate_table(topology, input_node, app)
+    })
+    at_metric = st.tuples(st.sampled_from(metrics), st.sampled_from([-2e-9, -0.4e-9, 0.0, 0.5e-9, 2e-9])).map(sum)
+    values = st.floats(0.5, 40.0) if kind is RequirementKind.DEADLINE else st.floats(100.0, 40000.0)
+    if metrics:  # a bound that admits every candidate puts the whole table to the tie-break
+        values = st.one_of(at_metric, values, st.just(metrics[-1] + 1.0))
+    bounds = tuple(sorted({v for v in draw(st.lists(values, min_size=1, max_size=4)) if v > 0})) or (1.0,)
+    return topology, state, PlacementRequest(1, app, input_node, Requirement(kind, bounds))
+
+
+@PROPERTY_SETTINGS
+@given(tied_requests())
+def test_escalation_matches_oracle_at_first_feasible_bound(case):
+    topology, state, request = case
+    requirement = request.requirement
+    expected = next(
+        ((rung, best) for rung, value in enumerate(requirement.bounds)
+         if (best := oracle_solve(topology, state, request, Bound(requirement.kind, value))) is not None),
+        None,
+    )
+    placement = solve_with_escalation(topology, state, request).placement
+    if expected is None:
+        assert placement is None
+        return
+    rung, (_, _, _, device_id, rt, pr) = expected
+    assert placement is not None
+    assert placement.device_id == device_id
+    assert placement.granted_bound == Bound(requirement.kind, requirement.bounds[rung])
+    assert placement.granted_bound is requirement.rungs[rung]
+    assert placement.response_time == pytest.approx(rt, abs=TOL)
+    assert placement.price == pytest.approx(pr, abs=TOL)

@@ -756,3 +756,43 @@ class TestRecords:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, getattr(record, name))
         assert pickle.loads(pickle.dumps(record)) == record
+
+    @pytest.mark.parametrize("pattern", list(PatternKind))
+    def test_placements_share_ladder_rungs_and_table_link_ids(self, pattern, paper_runs, paper_topology):
+        placed = 0
+        for outcome in paper_runs.trace(pattern, 42).outcomes:
+            if not outcome.placed:
+                continue
+            placement, request = outcome.placement, outcome.request
+            requirement = request.requirement
+            granted = placement.granted_bound
+            assert granted.value in requirement.bounds
+            assert granted == Bound(requirement.kind, granted.value)
+            assert granted is requirement.rungs[requirement.bounds.index(granted.value)]
+            entries = {e.device.id: e for e in candidate_table(paper_topology, request.input_node, request.app)}
+            entry = entries[placement.device_id]
+            assert placement.path_link_ids == entry.link_ids == tuple(link.id for link in entry.path)
+            placed += 1
+        assert placed > 900
+
+    @pytest.mark.parametrize("kind", list(RequirementKind))
+    def test_requirement_rungs_stay_out_of_value_semantics(self, kind):
+        requirement = Requirement(kind, (3.0, 5.0))
+        fresh = Requirement(kind, (3.0, 5.0))
+        assert requirement == fresh and hash(requirement) == hash(fresh)
+        assert repr(requirement) == repr(fresh) == f"Requirement(kind={kind!r}, bounds=(3.0, 5.0))"
+        assert requirement != Requirement(kind, (3.0, 6.0))
+        copy = pickle.loads(pickle.dumps(requirement))
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+        assert copy.rungs == (Bound(kind, 3.0), Bound(kind, 5.0))
+        assert requirement.ladder() == list(requirement.rungs)
+
+    def test_replace_rebuilds_rungs(self):
+        requirement = Requirement(RequirementKind.DEADLINE, (3.0, 5.0))
+        looser = dataclasses.replace(requirement, bounds=(3.0, 5.0, 8.0))
+        assert looser.rungs == tuple(Bound(RequirementKind.DEADLINE, v) for v in (3.0, 5.0, 8.0))
+        assert looser.rungs[0] is not requirement.rungs[0]
+        as_cap = dataclasses.replace(requirement, kind=RequirementKind.COST_CAP)
+        assert as_cap.rungs == (Bound(RequirementKind.COST_CAP, 3.0), Bound(RequirementKind.COST_CAP, 5.0))
+        with pytest.raises(ValidationError):
+            dataclasses.replace(requirement, bounds=(5.0, 3.0))
