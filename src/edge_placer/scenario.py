@@ -636,14 +636,28 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
     has a well-defined, infeasible per-request model.
     """
     available: set[DeviceClass] = set()
-    for plan in (scenario.cloud, scenario.carrier, scenario.user):
-        available |= {cls for cls, count in plan.fleet.items() if count > 0 and plan.sites > 0}
-    violations = [
+    violations = []
+    for tier, tier_key in _TIER_KEYS.items():
+        plan = scenario.tier_plan(tier)
+        used = {cls for cls, count in plan.fleet.items() if count > 0 and plan.sites > 0}
+        violations += [
+            f"'{tier_key}_capacity' is missing device class {cls.value!r} used by '{tier_key}_fleet'"
+            for cls in CLASS_ORDER
+            if cls in used and cls not in plan.capacity
+        ]
+        available |= used
+    if scenario.flat_server_pricing and not violations:  # every class is priced at the cloud's capacity
+        violations = [
+            f"'cloud_capacity' is missing device class {cls.value!r} used by flat_server_pricing"
+            for cls in CLASS_ORDER
+            if cls in available and cls not in scenario.cloud.capacity
+        ]
+    violations += [
         f"unit_price is missing device class {cls.value!r}"
         for cls in CLASS_ORDER
         if cls in available and cls not in scenario.unit_price
     ]
-    if not violations:  # the topology spec prices every class in ``available``
+    if not violations:  # the topology spec has a capacity and a price for every class in ``available``
         violations = topology_spec_errors(scenario.topology_spec())
 
     for entry in scenario.apps:

@@ -29,10 +29,9 @@ from edge_placer.solver import (
     apply_placement,
     feasible_candidates,
     solve_request,
-    solve_with_escalation,
 )
 
-from test_lp_export import enumerate_optimum, parse_lp_text
+from test_lp_export import enumerate_optimum, paper_sample, parse_lp_text
 from test_solver import oracle_solve, random_instance
 
 ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
@@ -293,29 +292,20 @@ def test_criterion_7_offload_or_not_demo():
 
 
 def test_criterion_8_lp_export_soundness(paper, paper_topology):
-    from edge_placer.simulator import generate_requests
-
-    state = ResidualState.fresh(paper_topology)
-    stream = generate_requests(paper, PatternKind.PATTERN1, 500, ACCEPTANCE_SEEDS[0], topology=paper_topology)
     sampled = 0
-    for request in stream:
-        if request.id % 10 == 0 and sampled < 50:
-            bound = request.requirement.ladder()[0]
-            text = to_lp_text(build_ilp(paper_topology, state, request, bound))
-            parse_lp_text(text)  # grammar check; raises on malformed output
-            optimum = enumerate_optimum(text)
-            placement = solve_request(paper_topology, state, request, bound)
-            if placement is None:
-                assert optimum is None
-            else:
-                expected = (
-                    placement.response_time
-                    if bound.kind is RequirementKind.COST_CAP
-                    else placement.price
-                )
-                assert optimum == pytest.approx(expected, abs=1e-6)
-            sampled += 1
-        outcome = solve_with_escalation(paper_topology, state, request)
-        if outcome.placed:
-            apply_placement(state, outcome.placement)
+    for topology, state, request, bound in paper_sample(paper, paper_topology, ACCEPTANCE_SEEDS[0]):
+        text = to_lp_text(build_ilp(topology, state, request, bound))
+        parse_lp_text(text)  # grammar check; raises on malformed output
+        optimum = enumerate_optimum(text)
+        placement = solve_request(topology, state, request, bound)
+        if placement is None:
+            assert optimum is None
+        else:
+            expected = (
+                placement.response_time
+                if bound.kind is RequirementKind.COST_CAP
+                else placement.price
+            )
+            assert optimum == pytest.approx(expected, abs=1e-6)
+        sampled += 1
     assert sampled == 50

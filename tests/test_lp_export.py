@@ -227,16 +227,41 @@ class TestTextRoundTrip:
         assert infeasible < 200
 
 
+def random_instances(seed, count):
+    rng = random.Random(seed)
+    return (random_instance(rng) for _ in range(count))
+
+
+def paper_sample(paper, topology, seed):
+    """Criterion 8's instances: every 10th of 500 pattern-1 requests, at its first rung.
+
+    The stream is placed as it goes, so each instance sees the residuals
+    that the requests before it left.
+    """
+    state = ResidualState.fresh(topology)
+    for request in generate_requests(paper, PatternKind.PATTERN1, 500, seed, topology=topology):
+        if request.id % 10 == 0:
+            yield topology, state, request, request.requirement.ladder()[0]
+        outcome = solve_with_escalation(topology, state, request)
+        if outcome.placed:
+            apply_placement(state, outcome.placement)
+
+
 class TestExternalSolver:
-    def test_milp_cross_check(self):
+    """HiGHS, through ``scipy.optimize.milp``, solves the parsed LP text to the solver's optimum."""
+
+    @pytest.mark.parametrize("source, minimum", [("random", 40), ("paper", 50)], ids=["random", "paper"])
+    def test_milp_cross_check(self, paper, paper_topology, source, minimum):
         pytest.importorskip("scipy")
         import numpy as np
         from scipy.optimize import LinearConstraint, milp
 
-        rng = random.Random(727272)
+        if source == "random":
+            instances = random_instances(727272, 60)
+        else:
+            instances = paper_sample(paper, paper_topology, seed=1)
         checked = 0
-        for _ in range(60):
-            topology, state, request, bound = random_instance(rng)
+        for topology, state, request, bound in instances:
             model = build_ilp(topology, state, request, bound)
             objective, rows, binaries = parse_lp_text(to_lp_text(model))
             if not binaries:
@@ -271,7 +296,7 @@ class TestExternalSolver:
                 assert result.success
                 assert result.fun == pytest.approx(expected, abs=1e-6)
             checked += 1
-        assert checked >= 40
+        assert checked >= minimum
 
 
 class TestNonFiniteEntries:

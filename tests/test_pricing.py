@@ -7,6 +7,7 @@ import pytest
 
 from edge_placer.model import DeviceClass, DeviceNode, Link, Tier
 from edge_placer.pricing import (
+    TOLERANCE,
     AppType,
     AppVariant,
     CandidatePlacement,
@@ -188,12 +189,31 @@ class TestFits:
         assert fits(c, state)
 
     def test_boundary_inclusive(self, nas_ft, paper_topology):
-        state = ResidualState.fresh(paper_topology)
-        state.device_remaining["user000_gpu00"] = 1.0  # exactly the demand
-        c = candidate(nas_ft, DeviceClass.GPU, device_of(paper_topology, "user000_gpu00"))
-        assert fits(c, state)
-        state.device_remaining["user000_gpu00"] = 1.0 - 1e-6
-        assert not fits(c, state)
+        from edge_placer.solver import PlacementRequest, Requirement, RequirementKind, feasible_candidates
+
+        # A NAS.FT GPU variant reserves 1.0 of its device and 2.0 Mbps of each path link.
+        user_gpu = candidate(nas_ft, DeviceClass.GPU, device_of(paper_topology, "user000_gpu00"))
+        cloud_gpu = candidate(
+            nas_ft,
+            DeviceClass.GPU,
+            device_of(paper_topology, "cloud000_gpu00"),
+            path_links(paper_topology, "input000", "cloud000"),
+        )
+        request = PlacementRequest(
+            1, nas_ft, paper_topology.input_nodes["input000"], Requirement(RequirementKind.COST_CAP, (1e9,))
+        )
+        boundaries = [
+            (user_gpu, "device_remaining", "user000_gpu00", 1.0),
+            (cloud_gpu, "link_remaining", cloud_gpu.path[-1].id, 2.0),
+        ]
+        for c, residuals, key, demand in boundaries:
+            # Exactly the demand fits, so does a shortfall within the tolerance; a larger one does not.
+            for shortfall, expected in [(0.0, True), (TOLERANCE / 2, True), (1e-6, False)]:
+                state = ResidualState.fresh(paper_topology)
+                getattr(state, residuals)[key] = demand - shortfall
+                assert fits(c, state) is expected, (key, shortfall)
+                admitted = feasible_candidates(paper_topology, state, request, request.requirement)
+                assert (c.device.id in {e.device.id for e in admitted}) is expected, (key, shortfall)
 
     def test_seventeenth_placement_rejected(self, nas_ft, paper_topology):
         from edge_placer.solver import Bound, PlacementRequest, Requirement, RequirementKind, apply_placement, solve_request

@@ -1,4 +1,5 @@
-"""Property tests: build_topology against topology_spec_errors, the scenario text round trip, and the solver against an oracle."""
+"""Property tests: build_topology against topology_spec_errors, the scenario text round trip,
+the solver against an oracle, and residual conservation along seeded streams."""
 
 import dataclasses
 import math
@@ -20,14 +21,23 @@ from edge_placer.model import (  # noqa: E402
     build_topology,
     topology_spec_errors,
 )
-from edge_placer.pricing import AppType, AppVariant  # noqa: E402
-from edge_placer.scenario import AppEntry, Scenario, TierPlan, parse_scenario, serialize_scenario  # noqa: E402
+from edge_placer.pricing import TOLERANCE, AppType, AppVariant  # noqa: E402
+from edge_placer.scenario import (  # noqa: E402
+    AppEntry,
+    Scenario,
+    TierPlan,
+    paper_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
+from edge_placer.simulator import PatternKind, generate_requests  # noqa: E402
 from edge_placer.solver import (  # noqa: E402
     Bound,
     PlacementRequest,
     Requirement,
     RequirementKind,
     ResidualState,
+    apply_placement,
     candidate_table,
     solve_with_escalation,
 )
@@ -243,3 +253,59 @@ def test_escalation_matches_oracle_at_first_feasible_bound(case):
     assert placement.granted_bound is requirement.rungs[rung]
     assert placement.response_time == pytest.approx(rt, abs=TOL)
     assert placement.price == pytest.approx(pr, abs=TOL)
+
+
+@st.composite
+def seeded_streams(draw):
+    """A sound forest from ``topology_specs``, apps sized to fill it, a pattern and a seed.
+
+    Device capacities are 2.5, 10 or 64 and link bandwidths 30.  Demands
+    that divide them run residuals down to 0, and demands a few 1e-10
+    above such a divisor take the last placement's residual below 0 by
+    less than the tolerance.
+    """
+    spec = draw(topology_specs().filter(lambda spec: spec.input_nodes > 0 and not topology_spec_errors(spec)))
+    entries = []
+    for name in ["a", "b"][: draw(st.integers(1, 2))]:
+        classes = draw(st.permutations(list(DeviceClass)))[: draw(st.integers(1, 3))]
+        demands = st.sampled_from([0.5, 2.5, 2.5 + 2e-10, 5.0 + 3e-10, 32.0])
+        app = AppType(
+            name,
+            draw(st.sampled_from([0.0, 2.0])),
+            draw(st.sampled_from([1.0, 7.5, 10.0 + 3e-10, 15.0])),
+            tuple(AppVariant(cls, draw(st.sampled_from([1.0, 4.0])), draw(demands)) for cls in classes),
+        )
+        price_menu = draw(st.lists(st.sampled_from([100.0, 5000.0, 1e6]), min_size=1, max_size=3, unique=True))
+        deadline_menu = draw(st.lists(st.sampled_from([3.0, 20.0, 100.0]), min_size=1, max_size=3, unique=True))
+        weight = draw(st.sampled_from([1.0, 3.0]))
+        entries.append(AppEntry(app, weight, tuple(sorted(price_menu)), tuple(sorted(deadline_menu))))
+    return spec, tuple(entries), draw(st.sampled_from(list(PatternKind))), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(seeded_streams())
+def test_placed_demand_plus_residual_is_capacity(case):
+    spec, entries, pattern, seed = case
+    topology = build_topology(spec)
+    # Given the topology, generate_requests reads only the scenario's apps.
+    scenario = dataclasses.replace(paper_scenario(), apps=entries)
+    capacity = {d.id: d.capacity for d in topology.devices.values()}
+    bandwidth = {l.id: l.bandwidth_capacity for l in topology.links.values()}
+    used = dict.fromkeys(capacity, 0.0) | dict.fromkeys(bandwidth, 0.0)
+    state = ResidualState.fresh(topology)
+    placed = []
+    for request in generate_requests(scenario, pattern, 40, seed, topology=topology):
+        placement = solve_with_escalation(topology, state, request).placement
+        if placement is None:
+            continue
+        apply_placement(state, placement)
+        placed.append(placement)
+        used[placement.device_id] += placement.resource_demand
+        for link_id in placement.path_link_ids:
+            used[link_id] += placement.bandwidth_demand
+        for total, remaining in ((capacity, state.device_remaining), (bandwidth, state.link_remaining)):
+            assert remaining.keys() == total.keys()
+            for key, value in total.items():
+                assert abs(used[key] + remaining[key] - value) <= 1e-9, (request.id, key)
+                assert remaining[key] >= -TOLERANCE, (request.id, key)
+    assert state.placements == placed

@@ -444,3 +444,23 @@ class TestValidateScenario:
         )
         assert validate_scenario(scenario, require_placeable=False) == []
         assert not any(d.device_class is DeviceClass.FPGA for d in build_topology(scenario.topology_spec()).devices.values())
+
+    def test_missing_capacity_reported_as_the_parser_words_it(self, paper):
+        import re
+
+        user = TierPlan(sites=60, fleet={DeviceClass.GPU: 1}, capacity={})
+        message = "'user_capacity' is missing device class 'gpu' used by 'user_fleet'"
+        assert validate_scenario(dataclasses.replace(paper, user=user)) == [message]
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(serialize_scenario(dataclasses.replace(paper, user=user)))
+        # A tier without sites needs no capacity.
+        assert validate_scenario(dataclasses.replace(paper, user=dataclasses.replace(user, sites=0), input_nodes=0)) == []
+
+        # Flat pricing prices every class at the cloud's capacity, which the parser does not check.
+        cpu_cloud = TierPlan(paper.cloud.sites, {DeviceClass.CPU: 8}, {DeviceClass.CPU: 100.0})
+        flat = dataclasses.replace(paper, cloud=cpu_cloud, flat_server_pricing=True)
+        assert validate_scenario(flat) == [
+            f"'cloud_capacity' is missing device class {cls!r} used by flat_server_pricing" for cls in ("gpu", "fpga")
+        ]
+        assert parse_scenario(serialize_scenario(flat)) == flat
+        assert validate_scenario(dataclasses.replace(flat, flat_server_pricing=False)) == []

@@ -21,10 +21,11 @@ from edge_placer.model import (
     uplink_path,
 )
 from edge_placer.lp_export import build_ilp, variable_name
-from edge_placer.pricing import AppType, AppVariant, price, response_time
+from edge_placer.pricing import TOLERANCE, AppType, AppVariant, price, response_time
 from edge_placer.simulator import MetricsPoint, PatternKind, generate_requests
 from edge_placer.solver import (
     Bound,
+    CandidateTable,
     Placement,
     PlacementRequest,
     RequestOutcome,
@@ -108,6 +109,31 @@ class TestSolveRequest:
         request = request_for(paper, paper_topology, "NAS.FT", RequirementKind.COST_CAP, [7000.0])
         placement = solve_request(paper_topology, state, request, Bound(RequirementKind.COST_CAP, 7000.0))
         assert placement.device_id == "cloud000_gpu00"
+
+    @pytest.mark.parametrize("kind", list(RequirementKind))
+    def test_secondary_near_tie_goes_to_the_nearer_tier(self, kind):
+        # One CPU per tier; the table's metrics are set by hand.  Primaries
+        # tie exactly and secondaries within the tolerance, the nearest
+        # entry's being the largest, so the tier decides.
+        cpu = (FleetSpec(DeviceClass.CPU, 1, 100.0, 1000.0),)
+        topology = build_topology(TopologySpec(
+            cloud=TierSpec(sites=1, fleet=cpu),
+            carrier=TierSpec(sites=1, fleet=cpu),
+            user=TierSpec(sites=1, fleet=cpu),
+            input_nodes=1,
+            user_carrier_link=LinkSpec(30.0, 100.0),
+            carrier_cloud_link=LinkSpec(100.0, 100.0),
+        ))
+        app = AppType("probe", 0.0, 1.0, (AppVariant(DeviceClass.CPU, 5.0, 5.0),))
+        request = PlacementRequest(1, app, topology.input_nodes["input000"], Requirement(kind, (1e6,)))
+        primary, secondary = ("response_time", "price") if kind is RequirementKind.COST_CAP else ("price", "response_time")
+        entries = candidate_table(topology, request.input_node, app)  # user, carrier, cloud
+        topology.candidate_tables[("user000", app)] = CandidateTable(tuple(
+            entry._replace(**{primary: 5.0, secondary: 1000.0 + offset})
+            for entry, offset in zip(entries, [0.8e-9, 0.4e-9, 0.0])
+        ))
+        placement = solve_request(topology, ResidualState.fresh(topology), request, request.requirement)
+        assert placement.device_id == "user000_cpu00"
 
 
 class TestEscalation:
@@ -210,6 +236,14 @@ class TestApplyPlacement:
         state.device_remaining[placement.device_id] = 0.5
         with pytest.raises(ValidationError, match="over-commits"):
             apply_placement(state, placement)
+        # An over-commit within the tolerance applies, on the device and on a path link.
+        link_id = placement.path_link_ids[0]
+        state.device_remaining[placement.device_id] = placement.resource_demand - TOLERANCE / 2
+        state.link_remaining[link_id] = placement.bandwidth_demand - TOLERANCE / 2
+        apply_placement(state, placement)
+        assert state.placements == [placement]
+        assert -TOLERANCE < state.device_remaining[placement.device_id] < 0
+        assert -TOLERANCE < state.link_remaining[link_id] < 0
 
 
 # --- randomized oracle ------------------------------------------------------
