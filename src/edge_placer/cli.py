@@ -325,8 +325,6 @@ def main(argv: list[str] | None = None) -> int:
     def add_scenario_args(p):
         p.add_argument("--scenario", help="scenario file path")
         p.add_argument("--paper", action="store_true", help="use the built-in evaluation preset")
-        p.add_argument("--seed", type=int, default=None,
-                       help="PRNG seed (default: $EDGE_PLACER_SEED or 42)")
 
     p_run = sub.add_parser("run", help="run the sequential placement simulation")
     add_scenario_args(p_run)
@@ -342,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     p_lp.add_argument("--bound-index", type=int, default=0, help="ladder entry to use (default 0)")
     p_lp.add_argument("--out", help="output file (default request<I>_pattern<P>.lp)")
     p_lp.set_defaults(func=cmd_emit_lp)
+
+    for p in (p_run, p_lp):  # validate draws no requests
+        p.add_argument("--seed", type=int, default=None, help="PRNG seed (default: $EDGE_PLACER_SEED or 42)")
 
     p_val = sub.add_parser("validate", help="validate a scenario document")
     add_scenario_args(p_val)

@@ -30,14 +30,6 @@ class Tier(Enum):
     CARRIER_EDGE = "carrier"
     CLOUD = "cloud"
 
-    @property
-    def distance_from_user(self) -> int:
-        """Hop count from the user edge: user 0, carrier 1, cloud 2."""
-        return _TIER_DISTANCE[self]
-
-
-_TIER_DISTANCE = {Tier.USER_EDGE: 0, Tier.CARRIER_EDGE: 1, Tier.CLOUD: 2}
-
 
 class DeviceClass(Enum):
     CPU = "cpu"

@@ -64,6 +64,19 @@ class TierPlan:
     capacity: Mapping[DeviceClass, float]
 
 
+def _hosted_classes(plan: TierPlan) -> list[DeviceClass]:
+    """The device classes a tier's sites hold, in ``CLASS_ORDER``: none when it has no sites."""
+    return [cls for cls in CLASS_ORDER if plan.sites > 0 and plan.fleet.get(cls, 0) > 0]
+
+
+def _missing_capacity(plan: TierPlan, tier_key: str) -> list[str]:
+    return [
+        f"'{tier_key}_capacity' is missing device class {cls.value!r} used by '{tier_key}_fleet'"
+        for cls in _hosted_classes(plan)
+        if cls not in plan.capacity
+    ]
+
+
 @dataclass(frozen=True)
 class AppEntry:
     app: AppType
@@ -111,8 +124,7 @@ class Scenario:
                     capacity=plan.capacity[cls],
                     full_cost=self.device_full_cost(tier, cls),
                 )
-                for cls in CLASS_ORDER
-                if plan.sites > 0 and plan.fleet.get(cls, 0) > 0
+                for cls in _hosted_classes(plan)
             )
             return TierSpec(sites=plan.sites, fleet=fleet)
 
@@ -268,22 +280,6 @@ def cost_performance_demo_scenario() -> Scenario:
 _TIER_KEYS = {Tier.CLOUD: "cloud", Tier.CARRIER_EDGE: "carrier", Tier.USER_EDGE: "user"}
 
 
-def _strip_comment(line: str) -> str:
-    """Drop a trailing ``#`` comment, ignoring ``#`` inside JSON strings."""
-    in_string = False
-    escaped = False
-    for i, ch in enumerate(line):
-        if escaped:
-            escaped = False
-        elif ch == "\\" and in_string:
-            escaped = True
-        elif ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-    return line
-
-
 def _refuse_non_finite(text: str):
     raise ValueError(f"{text[:24]} is not a finite number")
 
@@ -348,16 +344,21 @@ def _parse_lines(text: str) -> tuple[dict[str, _Section], list[_Section]]:
     apps: list[_Section] = []
     current = sections["document"]
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line == "[[apps]]":
-            current = _Section(f"apps #{len(apps) + 1}", lineno)
-            apps.append(current)
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            raise ScenarioError(f"unknown repeated section {line}", lineno)
-        if line.startswith("[") and line.endswith("]"):
+        line, sep, value_text = raw.partition("=")
+        if "#" in line:  # a '#' before the first '=' starts a comment; after it, the value's end decides
+            line, sep = line[: line.index("#")], ""
+        line = line.strip()
+        if not sep:
+            if not line:
+                continue
+            if line == "[[apps]]":
+                current = _Section(f"apps #{len(apps) + 1}", lineno)
+                apps.append(current)
+                continue
+            if line.startswith("[[") and line.endswith("]]"):
+                raise ScenarioError(f"unknown repeated section {line}", lineno)
+            if not (line.startswith("[") and line.endswith("]")):
+                raise ScenarioError(f"expected 'key = value' or a section header, got {line!r}", lineno)
             name = line[1:-1].strip()
             if name not in _SECTIONS:
                 raise ScenarioError(f"unknown section [{name}]", lineno)
@@ -367,12 +368,11 @@ def _parse_lines(text: str) -> tuple[dict[str, _Section], list[_Section]]:
                 raise ScenarioError(f"duplicate section [{name}]", lineno)
             current = sections[name] = _Section(name, lineno)
             continue
-        key, sep, value_text = line.partition("=")
-        if not sep:
-            raise ScenarioError(f"expected 'key = value' or a section header, got {line!r}", lineno)
-        key = key.strip()
+        key, value_text = line, value_text.lstrip()
         try:
-            value = _VALUE_DECODER.decode(value_text.strip())
+            value, end = _VALUE_DECODER.raw_decode(value_text)
+            if value_text[end:].lstrip()[:1] not in ("", "#"):
+                raise json.JSONDecodeError("Extra data", value_text, end)
             if "\\u" in value_text:  # only a \u escape decodes to a lone surrogate, which UTF-8 cannot hold
                 _dump(value).encode("utf-8")
         except json.JSONDecodeError as exc:
@@ -443,14 +443,9 @@ def parse_scenario(text: str) -> Scenario:
     for tier, tier_key in _TIER_KEYS.items():
         fleet = _class_map(topo, f"{tier_key}_fleet", int, ">= 0")
         capacity = _class_map(topo, f"{tier_key}_capacity", float, "> 0")
-        for cls, count in fleet.items():
-            if count > 0 and cls not in capacity:
-                raise ScenarioError(
-                    f"'{tier_key}_capacity' is missing device class {cls.value!r} "
-                    f"used by '{tier_key}_fleet'",
-                    topo.line,
-                )
         plans[tier] = TierPlan(sites=counts[f"{tier_key}_sites"], fleet=fleet, capacity=capacity)
+        for message in _missing_capacity(plans[tier], tier_key):  # the first, as validate_scenario lists them
+            raise ScenarioError(message, topo.line)
     topo.finish()
 
     pricing = sections["pricing"]
@@ -639,13 +634,8 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
     violations = []
     for tier, tier_key in _TIER_KEYS.items():
         plan = scenario.tier_plan(tier)
-        used = {cls for cls, count in plan.fleet.items() if count > 0 and plan.sites > 0}
-        violations += [
-            f"'{tier_key}_capacity' is missing device class {cls.value!r} used by '{tier_key}_fleet'"
-            for cls in CLASS_ORDER
-            if cls in used and cls not in plan.capacity
-        ]
-        available |= used
+        violations += _missing_capacity(plan, tier_key)
+        available.update(_hosted_classes(plan))
     if scenario.flat_server_pricing and not violations:  # every class is priced at the cloud's capacity
         violations = [
             f"'cloud_capacity' is missing device class {cls.value!r} used by flat_server_pricing"

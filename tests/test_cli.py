@@ -587,6 +587,12 @@ class TestRefusals:
                      "error: EDGE_PLACER_SEED must be an integer, got '4x'\n")
         assert not (tmp_path / "out").exists()
 
+    def test_validate_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--paper", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_negative_request_count(self, tmp_path, capsys):
         self.refused(capsys, ["run", "--paper", "--requests", "-3", "--out", str(tmp_path / "out")], 2,
                      "error: request count must be >= 0\n")

@@ -201,11 +201,12 @@ class TestUplinkPath:
             uplink_path(paper_topology, "input000", "nowhere")
 
     def test_path_length_equals_tier_distance(self, paper_topology):
+        distance = {Tier.USER_EDGE: 0, Tier.CARRIER_EDGE: 1, Tier.CLOUD: 2}
         for input_id in paper_topology.input_nodes:
             for site_id in root_path_sites(paper_topology, input_id):
                 tier = paper_topology.sites[site_id].tier
                 path = uplink_path(paper_topology, input_id, site_id)
-                assert len(path) == tier.distance_from_user
+                assert len(path) == distance[tier]
 
     def test_devices_reachable_only_from_own_subtree(self, paper_topology):
         # every site is reachable from exactly the inputs whose root path contains it

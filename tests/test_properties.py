@@ -3,6 +3,7 @@ the solver against an oracle, and residual conservation along seeded streams."""
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -25,10 +26,12 @@ from edge_placer.pricing import TOLERANCE, AppType, AppVariant  # noqa: E402
 from edge_placer.scenario import (  # noqa: E402
     AppEntry,
     Scenario,
+    ScenarioError,
     TierPlan,
     paper_scenario,
     parse_scenario,
     serialize_scenario,
+    validate_scenario,
 )
 from edge_placer.simulator import PatternKind, generate_requests  # noqa: E402
 from edge_placer.solver import (  # noqa: E402
@@ -123,9 +126,9 @@ menus = st.lists(positive, max_size=3, unique=True).map(lambda values: tuple(sor
 
 @st.composite
 def tier_plans(draw, sites):
-    capacity = draw(class_maps)
-    fleet = {cls: draw(st.integers(0, 4)) for cls in capacity}
-    return TierPlan(sites=sites, fleet=fleet, capacity=capacity)
+    # Drawn apart, so a fleet may count a class its capacities lack.
+    fleet = draw(st.dictionaries(st.sampled_from(list(DeviceClass)), st.integers(0, 4), max_size=3))
+    return TierPlan(sites=sites, fleet=fleet, capacity=draw(class_maps))
 
 
 @st.composite
@@ -166,7 +169,18 @@ def scenarios(draw):
 @PROPERTY_SETTINGS
 @given(scenarios())
 def test_serialized_scenario_parses_back(scenario):
-    assert parse_scenario(serialize_scenario(scenario)) == scenario
+    # The text parses back unless validate_scenario finds a tier's capacity missing; then the
+    # parser refuses it with the first such violation, at the [topology] line.
+    missing = [
+        v for v in validate_scenario(scenario)
+        if re.fullmatch(r"'\w+_capacity' is missing device class '\w+' used by '\w+_fleet'", v)
+    ]
+    text = serialize_scenario(scenario)
+    if not missing:
+        assert parse_scenario(text) == scenario
+    else:
+        with pytest.raises(ScenarioError, match=f"^line 4: {re.escape(missing[0])}$"):
+            parse_scenario(text)
 
 
 @st.composite
