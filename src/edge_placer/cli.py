@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation violations or report mismatches,
 2 invalid input (unreadable, non-UTF-8 or bad scenario or CSV, out-of-range index),
-3 output I/O failure.
+3 any output failure.  Raised errors become codes 2 and 3 in ``main`` alone.
 
 Trace CSV format (one row per request, arrival order)::
 
@@ -129,7 +129,7 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _load_scenario(args) -> Scenario:
-    if getattr(args, "paper", False):
+    if args.paper:
         return paper_scenario()
     if not args.scenario:
         raise ScenarioError("either --paper or --scenario PATH is required")
@@ -172,26 +172,22 @@ def cmd_run(args) -> int:
         trace = run_simulation(scenario, pattern, args.requests, seed, topology=topology)
         results.append((pattern, trace))
 
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        for pattern, trace in results:
-            path = os.path.join(args.out, f"trace_{pattern.value}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(trace_csv_text(trace))
-            print(f"wrote {path}")
-        summary_path = os.path.join(args.out, "summary.md")
-        with open(summary_path, "w", encoding="utf-8") as handle:
-            handle.write(
-                "# Placement simulation summary\n\n"
-                f"- scenario: {scenario.name} (sha256 {results[0][1].scenario_hash[:12]})\n"
-                f"- requests: {args.requests}, seed: {seed}\n\n"
-                + _summary_table(results)
-                + "\n"
-            )
-        print(f"wrote {summary_path}")
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    os.makedirs(args.out, exist_ok=True)
+    for pattern, trace in results:
+        path = os.path.join(args.out, f"trace_{pattern.value}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(trace_csv_text(trace))
+        print(f"wrote {path}")
+    summary_path = os.path.join(args.out, "summary.md")
+    with open(summary_path, "w", encoding="utf-8") as handle:
+        handle.write(
+            "# Placement simulation summary\n\n"
+            f"- scenario: {scenario.name} (sha256 {results[0][1].scenario_hash[:12]})\n"
+            f"- requests: {args.requests}, seed: {seed}\n\n"
+            + _summary_table(results)
+            + "\n"
+        )
+    print(f"wrote {summary_path}")
     return 0
 
 
@@ -206,28 +202,19 @@ def cmd_emit_lp(args) -> int:
     seed = _seed(args)
     topology = build_topology(scenario.topology_spec())
     if args.request_index < 1:
-        print(f"request index {args.request_index} is out of range", file=sys.stderr)
-        return 2
+        raise ScenarioError(f"request index {args.request_index} is out of range")
     target = generate_requests(scenario, pattern, args.request_index, seed, topology=topology)[-1]
     ladder = target.requirement.ladder()
     if not 0 <= args.bound_index < len(ladder):
-        print(
-            f"bound index {args.bound_index} outside ladder of {len(ladder)} bounds",
-            file=sys.stderr,
-        )
-        return 2
+        raise ScenarioError(f"bound index {args.bound_index} outside ladder of {len(ladder)} bounds")
 
     state = run_simulation(scenario, pattern, args.request_index - 1, seed, topology=topology).final_state
     model = build_ilp(topology, state, target, ladder[args.bound_index])
     if not model.binaries:
         print("warning: no compatible device exists; emitting an infeasible model", file=sys.stderr)
     out_path = args.out or f"request{args.request_index:04d}_pattern{pattern.value}.lp"
-    try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(to_lp_text(model))
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.write(to_lp_text(model))
     print(f"wrote {out_path}")
     return 0
 
@@ -323,8 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_args(p):
-        p.add_argument("--scenario", help="scenario file path")
-        p.add_argument("--paper", action="store_true", help="use the built-in evaluation preset")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--scenario", help="scenario file path")
+        source.add_argument("--paper", action="store_true", help="use the built-in evaluation preset")
 
     p_run = sub.add_parser("run", help="run the sequential placement simulation")
     add_scenario_args(p_run)
@@ -358,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # every read failure is already a ScenarioError: this one is a write's
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -368,6 +368,8 @@ def _parse_lines(text: str) -> tuple[dict[str, _Section], list[_Section]]:
                 raise ScenarioError(f"duplicate section [{name}]", lineno)
             current = sections[name] = _Section(name, lineno)
             continue
+        if not line.isidentifier():  # every key serialize_scenario writes is one
+            raise ScenarioError(f"expected 'key = value' or a section header, got {raw.strip()!r}", lineno)
         key, value_text = line, value_text.lstrip()
         try:
             value, end = _VALUE_DECODER.raw_decode(value_text)

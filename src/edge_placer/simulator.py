@@ -2,12 +2,15 @@
 
 Requests arrive one at a time and are resolved once, in order; accepted
 placements consume residual capacity for the rest of the run.  All
-randomness comes from a splitmix64 generator with a pinned draw order
-per request: (1) app choice from a uniform double against the cumulative
-mix, (2) input node from the next output modulo the input count, and,
-for pattern 1 only, (3) requirement menu index from the next output
-modulo the menu size.  Identical (scenario, pattern, n, seed) therefore
-yield identical traces.
+randomness comes from one splitmix64 generator, ``splitmix64_outputs``
+(reference first outputs for seed 0: 0xE220A8397B1DCDAF,
+0x6E789E6AA1B965F4, 0x06C45D188009454F).  The draw order per request is
+pinned: (1) app choice from a uniform double (the top 53 bits of the
+next output) against the cumulative mix, (2) input node from the next
+output modulo the input count, and, for pattern 1 only, (3) requirement
+menu index from the next output modulo the menu size.  Identical
+(scenario, pattern, n, seed) therefore yield identical traces, and any
+reimplementation that follows these rules reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .model import Tier, Topology, ValidationError, build_topology
-from .rng import splitmix64_outputs
 from .scenario import AppEntry, Scenario, scenario_hash
 from .solver import (
     PlacementRequest,
@@ -29,6 +31,41 @@ from .solver import (
     apply_placement,
     solve_with_escalation,
 )
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_outputs(seed: int) -> Iterator[int]:
+    """The endless splitmix64 output stream of ``seed`` (taken modulo 2**64)."""
+    mask, gamma = _MASK64, _GAMMA  # locals: read on every draw
+    state = seed & mask
+    while True:
+        state = (state + gamma) & mask
+        x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        yield x ^ (x >> 31)
+
+
+class SplitMix64:
+    """One draw per method call, as the pinned draw order names them; a test reference for the inline draws."""
+
+    def __init__(self, seed: int):
+        self._outputs = splitmix64_outputs(seed)
+
+    def next_u64(self) -> int:
+        return next(self._outputs)
+
+    def next_double(self) -> float:
+        """Uniform double in [0, 1): top 53 bits of the next output."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_below(self, n: int) -> int:
+        """Next output modulo n (modulo bias is accepted and pinned)."""
+        if n <= 0:
+            raise ValueError("n must be > 0")
+        return self.next_u64() % n
 
 
 class PatternKind(Enum):

@@ -593,6 +593,30 @@ class TestRefusals:
         assert exc.value.code == 2
         assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["run", "--requests", "5", "--out", "out"],
+        ["emit-lp", "--pattern", "2", "--request-index", "1", "--out", "out"],
+    ], ids=["validate", "run", "emit-lp"])
+    def test_paper_and_scenario_are_exclusive(self, tmp_path, capsys, monkeypatch, command):
+        # The file would be refused if it were read; neither source may win silently.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "garbage.scn").write_text("garbage\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--paper", "--scenario", "garbage.scn"])
+        assert exc.value.code == 2
+        assert "error: argument --scenario: not allowed with argument --paper" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("index_args, message", [
+        (["--request-index", "0"], "error: request index 0 is out of range\n"),
+        (["--request-index", "1", "--bound-index", "5"], "error: bound index 5 outside ladder of 3 bounds\n"),
+    ], ids=["request-index", "bound-index"])
+    def test_emit_lp_index_out_of_range(self, tmp_path, capsys, index_args, message):
+        out = tmp_path / "x.lp"
+        self.refused(capsys, ["emit-lp", "--paper", "--pattern", "2", *index_args, "--out", str(out)], 2, message)
+        assert not out.exists()
+
     def test_negative_request_count(self, tmp_path, capsys):
         self.refused(capsys, ["run", "--paper", "--requests", "-3", "--out", str(tmp_path / "out")], 2,
                      "error: request count must be >= 0\n")

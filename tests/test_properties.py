@@ -1,15 +1,19 @@
 """Property tests: build_topology against topology_spec_errors, the scenario text round trip,
-the solver against an oracle, and residual conservation along seeded streams."""
+the solver against an oracle, residual conservation along seeded streams, and the CLI's exit
+codes on mutated scenario text."""
 
 import dataclasses
 import math
+import os
 import re
+import tempfile
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from edge_placer.cli import main  # noqa: E402
 from edge_placer.model import (  # noqa: E402
     CLASS_ORDER,
     DeviceClass,
@@ -28,6 +32,7 @@ from edge_placer.scenario import (  # noqa: E402
     Scenario,
     ScenarioError,
     TierPlan,
+    cost_performance_demo_scenario,
     paper_scenario,
     parse_scenario,
     serialize_scenario,
@@ -323,3 +328,61 @@ def test_placed_demand_plus_residual_is_capacity(case):
                 assert abs(used[key] + remaining[key] - value) <= 1e-9, (request.id, key)
                 assert remaining[key] >= -TOLERANCE, (request.id, key)
     assert state.placements == placed
+
+
+PRESET_TEXTS = [serialize_scenario(paper_scenario()), serialize_scenario(cost_performance_demo_scenario())]
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+INSERTS = ['"', "[", "]", "{", "}", ",", ":", "=", "#", "\\", " ", "\n", "0", "9", "-", ".", "e",
+           "true", "null", "NaN", '"x"', "[]", "{}", "[[apps]]", "[topology]", "name = 1"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A preset's text after 1-3 line, character, token or number mutations."""
+    text = draw(st.sampled_from(PRESET_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(["delete-line", "duplicate-line", "insert", "delete", "number"]))
+        if mutation in ("delete-line", "duplicate-line"):
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = [] if mutation == "delete-line" else [lines[i]] * 2
+            text = "\n".join(lines)
+        elif mutation == "insert":
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(INSERTS)) + text[i:]
+        elif mutation == "delete":
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + text[i + draw(st.integers(1, 4)):]
+        elif numbers := list(NUMBER.finditer(text)):
+            match = draw(st.sampled_from(numbers))
+            text = text[:match.start()] + draw(st.sampled_from(["0", "-1", "1e308", "1e20"])) + text[match.end():]
+    return text
+
+
+def small_enough_to_run(text):
+    """False for a text that parses to a topology too large to build in a test; True otherwise."""
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError:
+        return True  # run and emit-lp refuse it before building anything
+    plans = (scenario.cloud, scenario.carrier, scenario.user)
+    return (
+        all(plan.sites <= 200 and all(count <= 50 for count in plan.fleet.values()) for plan in plans)
+        and scenario.input_nodes <= 2000
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(mutated_texts(), st.sampled_from(["1", "2", "3"]))
+def test_cli_exits_with_a_code_never_a_traceback(text, pattern):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.scn")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert main(["validate", "--scenario", path]) in (0, 1, 2)
+        if not small_enough_to_run(text):
+            return
+        out = os.path.join(tmp, "out")
+        assert main(["run", "--scenario", path, "--requests", "20", "--out", out]) in (0, 2)
+        lp_args = ["--pattern", pattern, "--request-index", "5", "--out", os.path.join(out, "x.lp")]
+        assert main(["emit-lp", "--scenario", path, *lp_args]) in (0, 2)

@@ -296,10 +296,28 @@ class TestParseErrors:
         ('"MRI-Q": 1.0}', '"MRI-Q": "1"}', "'mix' weight for 'MRI-Q' must be a number"),
         ("[7000.0,", "[-7000.0,", "'price_menus': menu value must be > 0"),
         ("[4.0, 8.0]", "[4.0, true]", "'deadline_menus': menu value must be a number"),
+        ('name = "paper-3tier"', "name = 5", "'name' must be a str"),
+        ("schema_version = 1", "schema_version = 2", "unsupported schema_version 2"),
+        ("[links]", "[[links]]", "unknown repeated section [[links]]"),
+        ("[[apps]]", "[apps]", "apps entries are written as [[apps]]"),
+        ("carrier_multiplier = 1.25", "carrier_multiplier = 1.25 1.5",
+         "invalid value for 'carrier_multiplier': Extra data"),
+        ("[7000.0, 8500.0, 10000.0]", "7000.0", "'price_menus' must be an array"),
+        (', "monthly_cost": 5000.0}', "}", "'user_carrier' must have exactly bandwidth_mbps and monthly_cost"),
+        ('name = "NAS.FT"', 'name = ""', "app name must be non-empty"),
+        ('name = "MRI-Q"', 'name = "NAS.FT"', "duplicate app name 'NAS.FT'"),
+        ('"device_class": "gpu"', '"device_class": "tpu"', "unknown device class 'tpu'"),
+        (', "MRI-Q": 1.0}', "}", "'mix' is missing app 'MRI-Q'"),
+        # A key must be an identifier, refused at its own line, not later as a missing key.
+        ("cloud_sites = 5", "cloud sites = 5", "expected 'key = value' or a section header, got 'cloud sites = 5'"),
+        ("schema_version = 1", ' ""q"x = 1#=', """expected 'key = value' or a section header, got '""q"x = 1#='"""),
     ], ids=["sites-negative", "sites-fractional", "input-nodes-negative", "fleet-negative", "capacity-zero",
             "unit-price-negative", "unit-price-string", "carrier-multiplier-zero", "user-multiplier-negative",
             "link-bandwidth-zero", "link-cost-negative", "mix-weight-zero", "mix-weight-string",
-            "price-menu-negative", "deadline-menu-boolean"])
+            "price-menu-negative", "deadline-menu-boolean", "name-not-string", "schema-version-2",
+            "repeated-links", "single-bracket-apps", "extra-data", "menu-not-array", "link-missing-cost",
+            "empty-app-name", "duplicate-app-name", "variant-unknown-class", "mix-missing-app",
+            "key-with-space", "key-with-quotes"])
     def test_numeric_rule_message_and_line(self, paper, old, new, message):
         lines = serialize_scenario(paper).splitlines()
         index = next(i for i, line in enumerate(lines) if old in line)
@@ -308,6 +326,12 @@ class TestParseErrors:
             parse_scenario("\n".join(lines))
         assert str(info.value) == f"line {index + 1}: {message}"
         assert info.value.line == index + 1
+
+    def test_no_apps(self, paper):
+        text = serialize_scenario(paper)
+        text = text[: text.index("[[apps]]")] + text[text.index("[requests]"):]
+        with pytest.raises(ScenarioError, match=r"^missing section \[\[apps\]\]: at least one app is required$"):
+            parse_scenario(text)
 
     def test_missing_app_key_names_entry_header(self, paper):
         lines = serialize_scenario(paper).splitlines()

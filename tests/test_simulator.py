@@ -2,9 +2,9 @@ import pytest
 
 from edge_placer.cli import trace_csv_text
 from edge_placer.model import Tier, ValidationError
-from edge_placer.rng import SplitMix64
 from edge_placer.simulator import (
     PatternKind,
+    SplitMix64,
     compute_metrics,
     generate_requests,
     run_simulation,
@@ -154,6 +154,26 @@ class TestGenerateRequests:
         crippled = replace(paper, apps=(replace(entry, price_menu=()),) + paper.apps[1:])
         with pytest.raises(ValidationError, match="empty price menu"):
             generate_requests(crippled, PatternKind.PATTERN2, 5, 1)
+
+    @pytest.mark.parametrize("pattern, menus, message", [
+        (PatternKind.PATTERN1, ("price_menu", "deadline_menu"), "empty requirement menu"),
+        (PatternKind.PATTERN3, ("deadline_menu",), "empty deadline menu"),
+    ], ids=["pattern1-both-menus", "pattern3-deadlines"])
+    def test_empty_menus_rejected_per_pattern(self, paper, pattern, menus, message):
+        from dataclasses import replace
+
+        entry = replace(paper.apps[0], **dict.fromkeys(menus, ()))
+        crippled = replace(paper, apps=(entry,) + paper.apps[1:])
+        with pytest.raises(ValidationError, match=f"app 'NAS.FT' has an {message}"):
+            generate_requests(crippled, pattern, 5, 1)
+
+    def test_no_input_nodes_rejected(self, paper):
+        from dataclasses import replace
+
+        no_inputs = replace(paper, input_nodes=0)
+        assert generate_requests(no_inputs, PatternKind.PATTERN1, 0, 1) == []
+        with pytest.raises(ValidationError, match="scenario has no input nodes to originate requests"):
+            generate_requests(no_inputs, PatternKind.PATTERN1, 1, 1)
 
 
 class TestRunSimulation:

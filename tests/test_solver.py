@@ -245,6 +245,16 @@ class TestApplyPlacement:
         assert -TOLERANCE < state.device_remaining[placement.device_id] < 0
         assert -TOLERANCE < state.link_remaining[link_id] < 0
 
+    def test_link_overcommit_rejected(self, paper, paper_topology):
+        state = ResidualState.fresh(paper_topology)
+        request = request_for(paper, paper_topology, "NAS.FT", RequirementKind.COST_CAP, [7000.0])
+        placement = solve_request(paper_topology, state, request, Bound(RequirementKind.COST_CAP, 7000.0))
+        link_id = placement.path_link_ids[-1]
+        state.link_remaining[link_id] = placement.bandwidth_demand - 2 * TOLERANCE
+        with pytest.raises(ValidationError, match=f"over-commits link {link_id!r}"):
+            apply_placement(state, placement)
+        assert state.placements == []
+
 
 # --- randomized oracle ------------------------------------------------------
 
