@@ -1,8 +1,8 @@
 """Command-line front end: run simulations, emit LP files, validate, report.
 
 Exit codes: 0 success, 1 validation violations or report mismatches,
-2 invalid input (unreadable, non-UTF-8 or bad scenario or CSV, out-of-range index),
-3 any output failure.  Raised errors become codes 2 and 3 in ``main`` alone.
+2 a usage error or invalid input (unreadable, non-UTF-8 or bad scenario or CSV, out-of-range
+index), 3 any output failure.  Raised errors become codes 2 and 3 in ``main`` alone.
 
 Trace CSV format (one row per request, arrival order)::
 
@@ -131,8 +131,6 @@ def _read_text(path: str, what: str) -> str:
 def _load_scenario(args) -> Scenario:
     if args.paper:
         return paper_scenario()
-    if not args.scenario:
-        raise ScenarioError("either --paper or --scenario PATH is required")
     return parse_scenario(_read_text(args.scenario, "scenario file"))
 
 
@@ -145,18 +143,6 @@ def _load_valid_scenario(args, require_placeable: bool = True) -> Scenario | Non
     return None if violations else scenario
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EDGE_PLACER_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ScenarioError(f"EDGE_PLACER_SEED must be an integer, got {env!r}") from None
-    return 42
-
-
 def _patterns(value: str) -> list[PatternKind]:
     return list(PatternKind) if value == "all" else [PatternKind(int(value))]
 
@@ -165,11 +151,10 @@ def cmd_run(args) -> int:
     scenario = _load_valid_scenario(args)
     if scenario is None:
         return 2
-    seed = _seed(args)
     topology = build_topology(scenario.topology_spec())
     results = []
     for pattern in _patterns(args.pattern):
-        trace = run_simulation(scenario, pattern, args.requests, seed, topology=topology)
+        trace = run_simulation(scenario, pattern, args.requests, args.seed, topology=topology)
         results.append((pattern, trace))
 
     os.makedirs(args.out, exist_ok=True)
@@ -183,7 +168,7 @@ def cmd_run(args) -> int:
         handle.write(
             "# Placement simulation summary\n\n"
             f"- scenario: {scenario.name} (sha256 {results[0][1].scenario_hash[:12]})\n"
-            f"- requests: {args.requests}, seed: {seed}\n\n"
+            f"- requests: {args.requests}, seed: {args.seed}\n\n"
             + _summary_table(results)
             + "\n"
         )
@@ -199,16 +184,15 @@ def cmd_emit_lp(args) -> int:
     if scenario is None:
         return 2
     pattern = PatternKind(int(args.pattern))
-    seed = _seed(args)
     topology = build_topology(scenario.topology_spec())
     if args.request_index < 1:
         raise ScenarioError(f"request index {args.request_index} is out of range")
-    target = generate_requests(scenario, pattern, args.request_index, seed, topology=topology)[-1]
+    target = generate_requests(scenario, pattern, args.request_index, args.seed, topology=topology)[-1]
     ladder = target.requirement.ladder()
     if not 0 <= args.bound_index < len(ladder):
         raise ScenarioError(f"bound index {args.bound_index} outside ladder of {len(ladder)} bounds")
 
-    state = run_simulation(scenario, pattern, args.request_index - 1, seed, topology=topology).final_state
+    state = run_simulation(scenario, pattern, args.request_index - 1, args.seed, topology=topology).final_state
     model = build_ilp(topology, state, target, ladder[args.bound_index])
     if not model.binaries:
         print("warning: no compatible device exists; emitting an infeasible model", file=sys.stderr)
@@ -310,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_args(p):
-        source = p.add_mutually_exclusive_group()
+        source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--scenario", help="scenario file path")
         source.add_argument("--paper", action="store_true", help="use the built-in evaluation preset")
 
@@ -330,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     p_lp.set_defaults(func=cmd_emit_lp)
 
     for p in (p_run, p_lp):  # validate draws no requests
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed (default: $EDGE_PLACER_SEED or 42)")
+        p.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
 
     p_val = sub.add_parser("validate", help="validate a scenario document")
     add_scenario_args(p_val)

@@ -64,12 +64,8 @@ class Bound:
     value: float
 
     @property
-    def bounds(self) -> tuple[float, ...]:
-        """A single bound is a one-bound ladder."""
-        return (self.value,)
-
-    @property
     def rungs(self) -> tuple[Bound, ...]:
+        """A single bound is a one-rung ladder."""
         return (self,)
 
 
@@ -279,7 +275,7 @@ def feasible_candidates(
     link_remaining = state.link_remaining
     bandwidth = request.app.bandwidth_demand
     admitted: list[TableEntry] = []
-    i, stop = 0, bisect_right(metrics, bound.bounds[-1] + TOLERANCE)
+    i, stop = 0, bisect_right(metrics, bound.rungs[-1].value + TOLERANCE)
     while i < stop:
         entry = ordered[i]
         i += 1

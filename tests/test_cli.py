@@ -112,12 +112,12 @@ class TestRun:
               "--seed", "5", "--out", str(out_b)])
         assert read(out_a / "trace_2.csv") == read(out_b / "trace_2.csv")
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EDGE_PLACER_SEED", "7")
-        main(["run", "--paper", "--pattern", "1", "--requests", "80", "--out", str(tmp_path / "env")])
-        main(["run", "--paper", "--pattern", "1", "--requests", "80", "--seed", "7",
+    def test_default_seed_is_42(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EDGE_PLACER_SEED", "7")  # no environment variable sets the seed
+        main(["run", "--paper", "--pattern", "1", "--requests", "80", "--out", str(tmp_path / "default")])
+        main(["run", "--paper", "--pattern", "1", "--requests", "80", "--seed", "42",
               "--out", str(tmp_path / "flag")])
-        assert read(tmp_path / "env" / "trace_1.csv") == read(tmp_path / "flag" / "trace_1.csv")
+        assert read(tmp_path / "default" / "trace_1.csv") == read(tmp_path / "flag" / "trace_1.csv")
 
     def test_rejected_rows_have_empty_device_fields(self, tmp_path):
         # saturate quickly: tiny scenario with one 1-unit device
@@ -568,7 +568,7 @@ class TestReportRowNumbers:
 
 
 class TestRefusals:
-    """Refusals of bad arguments, environment or files: exit code and message, never a traceback."""
+    """Refusals of bad arguments or files: exit code and message, never a traceback."""
 
     def refused(self, capsys, argv, code, message):
         capsys.readouterr()
@@ -576,37 +576,46 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    def test_run_without_scenario(self, tmp_path, capsys):
-        self.refused(capsys, ["run", "--out", str(tmp_path / "out")], 2,
-                     "error: either --paper or --scenario PATH is required\n")
-        assert not (tmp_path / "out").exists()
-
-    def test_non_integer_seed_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EDGE_PLACER_SEED", "4x")
-        self.refused(capsys, ["run", "--paper", "--requests", "5", "--out", str(tmp_path / "out")], 2,
-                     "error: EDGE_PLACER_SEED must be an integer, got '4x'\n")
-        assert not (tmp_path / "out").exists()
-
     def test_validate_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--paper", "--seed", "1"])
         assert exc.value.code == 2
         assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sources, message", [
+        (["--paper", "--scenario", "garbage.scn"], "error: argument --scenario: not allowed with argument --paper"),
+        ([], "error: one of the arguments --scenario --paper is required"),
+    ], ids=["both", "neither"])
     @pytest.mark.parametrize("command", [
         ["validate"],
         ["run", "--requests", "5", "--out", "out"],
         ["emit-lp", "--pattern", "2", "--request-index", "1", "--out", "out"],
     ], ids=["validate", "run", "emit-lp"])
-    def test_paper_and_scenario_are_exclusive(self, tmp_path, capsys, monkeypatch, command):
-        # The file would be refused if it were read; neither source may win silently.
+    def test_paper_and_scenario_are_exclusive(self, tmp_path, capsys, monkeypatch, command, sources, message):
+        # Exactly one source: the file would be refused if it were read, so neither may win silently.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "garbage.scn").write_text("garbage\n", encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
-            main([*command, "--paper", "--scenario", "garbage.scn"])
+            main([*command, *sources])
         assert exc.value.code == 2
-        assert "error: argument --scenario: not allowed with argument --paper" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, pattern, message, served", [
+        ("input_nodes = 300", "input_nodes = 0", "all", "scenario has no input nodes to originate requests", []),
+        ('"MRI-Q": [4.0, 8.0]', '"MRI-Q": []', "3", "app 'MRI-Q' has an empty deadline menu", ["1", "2"]),
+    ], ids=["no-input-nodes", "empty-deadline-menu"])
+    def test_valid_scenario_without_requests_to_originate(self, tmp_path, capsys, old, new, pattern, message, served):
+        # validate checks the scenario; run refuses only the requests it cannot draw.
+        path = edited_paper(tmp_path, old, new)
+        assert main(["validate", "--scenario", path]) == 0
+        assert capsys.readouterr().out == "scenario ok\n"
+        out = tmp_path / "out"
+        self.refused(capsys, ["run", "--scenario", path, "--pattern", pattern, "--requests", "5", "--out", str(out)],
+                     2, f"error: {message}\n")
+        assert not out.exists()
+        for other in served:
+            assert main(["run", "--scenario", path, "--pattern", other, "--requests", "5", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("index_args, message", [
         (["--request-index", "0"], "error: request index 0 is out of range\n"),

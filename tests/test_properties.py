@@ -1,6 +1,6 @@
 """Property tests: build_topology against topology_spec_errors, the scenario text round trip,
-the solver against an oracle, residual conservation along seeded streams, and the CLI's exit
-codes on mutated scenario text."""
+the solver against an oracle, monotone escalation, residual conservation along seeded streams,
+and the CLI's exit codes on mutated scenario text."""
 
 import dataclasses
 import math
@@ -272,6 +272,22 @@ def test_escalation_matches_oracle_at_first_feasible_bound(case):
     assert placement.granted_bound is requirement.rungs[rung]
     assert placement.response_time == pytest.approx(rt, abs=TOL)
     assert placement.price == pytest.approx(pr, abs=TOL)
+
+
+# Offsets inside and just outside the tolerance, and one past every candidate's metric.
+@PROPERTY_SETTINGS
+@given(tied_requests(), st.one_of(st.sampled_from([0.5e-9, 2e-9, 1e6]), st.floats(1e-6, 1e5)))
+def test_looser_rung_keeps_placements_and_may_admit_rejections(case, offset):
+    topology, state, request = case
+    requirement = request.requirement
+    longer = Requirement(requirement.kind, requirement.bounds + (requirement.bounds[-1] + offset,))
+    placement = solve_with_escalation(topology, state, request).placement
+    escalated = solve_with_escalation(topology, state, dataclasses.replace(request, requirement=longer)).placement
+    if placement is None:
+        assert escalated is None or escalated.granted_bound is longer.rungs[-1]
+        return
+    assert escalated == placement
+    assert escalated.granted_bound is longer.rungs[requirement.rungs.index(placement.granted_bound)]
 
 
 @st.composite
