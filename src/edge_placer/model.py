@@ -15,7 +15,7 @@ threads only recomputes an identical entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Mapping

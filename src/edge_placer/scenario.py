@@ -87,7 +87,6 @@ class AppEntry:
 
 @dataclass(frozen=True)
 class Scenario:
-    schema_version: int
     name: str
     cloud: TierPlan
     carrier: TierPlan
@@ -143,9 +142,16 @@ class Scenario:
                 return entry
         raise KeyError(f"no app named {name!r}")
 
+    def mix_total(self) -> float:
+        """The mix weights added left to right on every CPython (``sum`` compensates float rounding from 3.12 on)."""
+        total = 0.0
+        for entry in self.apps:
+            total += entry.mix_weight
+        return total
+
     def mix_cumulative(self) -> list[float]:
         """Cumulative selection probabilities following the app catalog order."""
-        total = sum(entry.mix_weight for entry in self.apps)
+        total = self.mix_total()
         acc, out = 0.0, []
         for entry in self.apps:
             acc += entry.mix_weight / total
@@ -184,7 +190,6 @@ def paper_scenario() -> Scenario:
         ),
     )
     return Scenario(
-        schema_version=SCHEMA_VERSION,
         name="paper-3tier",
         cloud=TierPlan(
             sites=5,
@@ -252,7 +257,6 @@ def cost_performance_demo_scenario() -> Scenario:
         ),
     )
     return Scenario(
-        schema_version=SCHEMA_VERSION,
         name="cost-performance-demo",
         cloud=TierPlan(sites=1, fleet={}, capacity={}),
         carrier=TierPlan(sites=1, fleet={}, capacity={}),
@@ -276,8 +280,6 @@ def cost_performance_demo_scenario() -> Scenario:
 
 
 # --- file format ------------------------------------------------------------
-
-_TIER_KEYS = {Tier.CLOUD: "cloud", Tier.CARRIER_EDGE: "carrier", Tier.USER_EDGE: "user"}
 
 
 def _refuse_non_finite(text: str):
@@ -442,11 +444,11 @@ def parse_scenario(text: str) -> Scenario:
     count_keys = ("cloud_sites", "carrier_sites", "user_sites", "input_nodes")
     counts = {key: topo.take(key, int, ">= 0")[0] for key in count_keys}
     plans: dict[Tier, TierPlan] = {}
-    for tier, tier_key in _TIER_KEYS.items():
-        fleet = _class_map(topo, f"{tier_key}_fleet", int, ">= 0")
-        capacity = _class_map(topo, f"{tier_key}_capacity", float, "> 0")
-        plans[tier] = TierPlan(sites=counts[f"{tier_key}_sites"], fleet=fleet, capacity=capacity)
-        for message in _missing_capacity(plans[tier], tier_key):  # the first, as validate_scenario lists them
+    for tier in reversed(Tier):  # cloud, carrier, user: the file's order; each key is ``tier.value``
+        fleet = _class_map(topo, f"{tier.value}_fleet", int, ">= 0")
+        capacity = _class_map(topo, f"{tier.value}_capacity", float, "> 0")
+        plans[tier] = TierPlan(sites=counts[f"{tier.value}_sites"], fleet=fleet, capacity=capacity)
+        for message in _missing_capacity(plans[tier], tier.value):  # the first, as validate_scenario lists them
             raise ScenarioError(message, topo.line)
     topo.finish()
 
@@ -534,7 +536,6 @@ def parse_scenario(text: str) -> Scenario:
         )
 
     return Scenario(
-        schema_version=version,
         name=name,
         cloud=plans[Tier.CLOUD],
         carrier=plans[Tier.CARRIER_EDGE],
@@ -567,7 +568,7 @@ def _class_table(table: Mapping[DeviceClass, Any]) -> str:
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text form; parse(serialize(s)) == s for every valid scenario."""
     out = [
-        f"schema_version = {scenario.schema_version}",
+        f"schema_version = {SCHEMA_VERSION}",
         f"name = {_dump(scenario.name)}",
         "",
         "[topology]",
@@ -576,9 +577,9 @@ def serialize_scenario(scenario: Scenario) -> str:
         f"user_sites = {scenario.user.sites}",
         f"input_nodes = {scenario.input_nodes}",
     ]
-    for tier_key, plan in (("cloud", scenario.cloud), ("carrier", scenario.carrier), ("user", scenario.user)):
-        out.append(f"{tier_key}_fleet = {_class_table(plan.fleet)}")
-        out.append(f"{tier_key}_capacity = {_class_table(plan.capacity)}")
+    for tier in reversed(Tier):
+        out.append(f"{tier.value}_fleet = {_class_table(scenario.tier_plan(tier).fleet)}")
+        out.append(f"{tier.value}_capacity = {_class_table(scenario.tier_plan(tier).capacity)}")
     out += [
         "",
         "[pricing]",
@@ -634,9 +635,9 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
     """
     available: set[DeviceClass] = set()
     violations = []
-    for tier, tier_key in _TIER_KEYS.items():
+    for tier in reversed(Tier):
         plan = scenario.tier_plan(tier)
-        violations += _missing_capacity(plan, tier_key)
+        violations += _missing_capacity(plan, tier.value)
         available.update(_hosted_classes(plan))
     if scenario.flat_server_pricing and not violations:  # every class is priced at the cloud's capacity
         violations = [
@@ -662,4 +663,6 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
             )
         if not entry.price_menu and not entry.deadline_menu:
             violations.append(f"app {app.name!r}: both request menus are empty")
+    if not math.isfinite(scenario.mix_total()):
+        violations.append("mix weights must add up to a finite total")
     return violations

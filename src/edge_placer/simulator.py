@@ -6,11 +6,13 @@ randomness comes from one splitmix64 generator, ``splitmix64_outputs``
 (reference first outputs for seed 0: 0xE220A8397B1DCDAF,
 0x6E789E6AA1B965F4, 0x06C45D188009454F).  The draw order per request is
 pinned: (1) app choice from a uniform double (the top 53 bits of the
-next output) against the cumulative mix, (2) input node from the next
-output modulo the input count, and, for pattern 1 only, (3) requirement
-menu index from the next output modulo the menu size.  Identical
-(scenario, pattern, n, seed) therefore yield identical traces, and any
-reimplementation that follows these rules reproduces them bit for bit.
+next output) against the cumulative mix (weights added left to right),
+(2) input node from the next output modulo the input count, as an index
+into the input ids in string order (``input1000`` before ``input101``),
+and, for pattern 1 only, (3) requirement menu index from the next output
+modulo the menu size.  Identical (scenario, pattern, n, seed) therefore
+yield identical traces, and any reimplementation that follows these
+rules reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 from typing import Iterator, Mapping
 
 from .model import Tier, Topology, ValidationError, build_topology
-from .scenario import AppEntry, Scenario, scenario_hash
+from .scenario import Scenario, scenario_hash
 from .solver import (
     PlacementRequest,
     Requirement,
@@ -46,26 +48,6 @@ def splitmix64_outputs(seed: int) -> Iterator[int]:
         x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
         yield x ^ (x >> 31)
-
-
-class SplitMix64:
-    """One draw per method call, as the pinned draw order names them; a test reference for the inline draws."""
-
-    def __init__(self, seed: int):
-        self._outputs = splitmix64_outputs(seed)
-
-    def next_u64(self) -> int:
-        return next(self._outputs)
-
-    def next_double(self) -> float:
-        """Uniform double in [0, 1): top 53 bits of the next output."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_below(self, n: int) -> int:
-        """Next output modulo n (modulo bias is accepted and pinned)."""
-        if n <= 0:
-            raise ValueError("n must be > 0")
-        return self.next_u64() % n
 
 
 class PatternKind(Enum):
@@ -110,19 +92,8 @@ class MetricsSeries:
     total_requests: int
     total_rejections: int
 
-    @property
-    def total_placed(self) -> int:
-        return len(self.points)
-
     def avg_at(self, placement_index: int) -> float:
         return self.points[placement_index - 1].running_avg_response
-
-
-def _pattern1_menu(entry: AppEntry) -> list[Requirement]:
-    """One single-bound requirement per menu value, shared by every request that draws it."""
-    menu = [Requirement(RequirementKind.COST_CAP, (v,)) for v in entry.price_menu]
-    menu += [Requirement(RequirementKind.DEADLINE, (v,)) for v in entry.deadline_menu]
-    return menu
 
 
 def generate_requests(
@@ -145,20 +116,17 @@ def generate_requests(
     # from (pattern 1, draw 3) or the one it always gets (patterns 2 and 3).
     choices: list[list[Requirement]] = []
     for entry in scenario.apps:
-        app_name = entry.app.name
-        if pattern is PatternKind.PATTERN1:
-            menu = _pattern1_menu(entry)
-            if not menu:
-                raise ValidationError(f"app {app_name!r} has an empty requirement menu")
-            choices.append(menu)
+        if pattern is PatternKind.PATTERN1:  # one single-bound requirement per menu value, shared by its draws
+            what = "requirement"
+            menu = [Requirement(RequirementKind.COST_CAP, (v,)) for v in entry.price_menu]
+            menu += [Requirement(RequirementKind.DEADLINE, (v,)) for v in entry.deadline_menu]
         elif pattern is PatternKind.PATTERN2:
-            if not entry.price_menu:
-                raise ValidationError(f"app {app_name!r} has an empty price menu")
-            choices.append([Requirement(RequirementKind.COST_CAP, entry.price_menu)])
+            what, menu = "price", entry.price_menu and [Requirement(RequirementKind.COST_CAP, entry.price_menu)]
         else:
-            if not entry.deadline_menu:
-                raise ValidationError(f"app {app_name!r} has an empty deadline menu")
-            choices.append([Requirement(RequirementKind.DEADLINE, entry.deadline_menu)])
+            what, menu = "deadline", entry.deadline_menu and [Requirement(RequirementKind.DEADLINE, entry.deadline_menu)]
+        if not menu:
+            raise ValidationError(f"app {entry.app.name!r} has an empty {what} menu")
+        choices.append(menu)
 
     apps = [entry.app for entry in scenario.apps]
     cumulative = scenario.mix_cumulative()
@@ -168,8 +136,8 @@ def generate_requests(
     stream: RequestStream = []
     append = stream.append
     # zip pulls request_id first, so it stops before drawing past the last
-    # request, then the app draw and the input draw (SplitMix64.next_double
-    # and next_below, written out); pattern 1 draws its menu index last.
+    # request, then the app draw and the input draw (draws 1 and 2 of the
+    # module docstring, written out); pattern 1 draws its menu index last.
     for request_id, app_draw, input_draw in zip(range(1, n + 1), outputs, outputs):
         k = bisect_right(cumulative, (app_draw >> 11) * 2.0**-53)
         options = choices[k]

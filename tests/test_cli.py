@@ -40,6 +40,14 @@ INFINITE_TRANSFER = ("transfer_data_mb = 0.2\nbandwidth_mbps = 2.0", "transfer_d
 OVERFLOWING_UNIT_PRICE = ('"gpu": 6250.0', '"gpu": 1e308')
 GPU_COST_ERRORS = [f"{tier} gpu cost must be finite and >= 0" for tier in ("cloud", "carrier", "user")]
 
+# Each mix weight is finite, but their total overflows to inf.
+OVERFLOWING_MIX = ('mix = {"NAS.FT": 3.0, "MRI-Q": 1.0}', 'mix = {"NAS.FT": 1e308, "MRI-Q": 1e308}')
+MIX_TOTAL_ERROR = "mix weights must add up to a finite total"
+
+# The paper's price menus, and menus below the price of every device.
+PAPER_PRICE_MENUS = '"NAS.FT": [7000.0, 8500.0, 10000.0], "MRI-Q": [12500.0, 20000.0]'
+UNAFFORDABLE_PRICE_MENUS = '"NAS.FT": [1.0], "MRI-Q": [1.0]'
+
 
 def read_pinned():
     pinned_path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pinned.json")
@@ -90,7 +98,7 @@ class TestRun:
             last = metrics.points[-1]
             counts = last.tier_counts
             assert row == (
-                f"| {pattern.value} | {metrics.total_requests} | {metrics.total_placed} "
+                f"| {pattern.value} | {metrics.total_requests} | {len(metrics.points)} "
                 f"| {metrics.total_rejections} | {last.running_avg_response:.6f} | {last.cumulative_price:.2f} "
                 f"| {counts[Tier.USER_EDGE]} | {counts[Tier.CARRIER_EDGE]} | {counts[Tier.CLOUD]} |"
             )
@@ -202,6 +210,17 @@ deadline_menus = {"only": [2.0]}
         assert code == 2
         assert "scenario error: app 'NAS.FT': per-link transfer time" in err and "not finite" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--pattern", "2", "--requests", "1000"],
+        ["emit-lp", "--pattern", "2", "--request-index", "3"],
+    ], ids=["run", "emit-lp"])
+    def test_overflowing_mix_total_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main([*argv, "--scenario", edited_paper(tmp_path, *OVERFLOWING_MIX), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"scenario error: {MIX_TOTAL_ERROR}\n"
+        assert not out.exists()
 
     def test_overflowing_unit_price_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -401,6 +420,10 @@ class TestValidate:
         assert all(f"violation: {message}" in captured.out for message in GPU_COST_ERRORS)
         assert "scenario ok" not in captured.out and "Traceback" not in captured.err
 
+    def test_overflowing_mix_total_exit_1(self, tmp_path, capsys):
+        assert main(["validate", "--scenario", edited_paper(tmp_path, *OVERFLOWING_MIX)]) == 1
+        assert capsys.readouterr().out == f"violation: {MIX_TOTAL_ERROR}\n"
+
     def test_unparseable_exit_2(self, tmp_path):
         path = tmp_path / "broken.scn"
         path.write_text("???", encoding="utf-8")
@@ -416,7 +439,20 @@ class TestReport:
         metrics = compute_metrics(run_simulation(paper_scenario(), PatternKind.PATTERN3, 200, 4))
         final = metrics.points[-1].running_avg_response
         assert f"{final:.6f}" in output
-        assert f"{metrics.total_placed} placed" in output
+        assert f"{len(metrics.points)} placed" in output
+
+    @pytest.mark.parametrize("pattern, requests, price_menus", [
+        ("1", "0", PAPER_PRICE_MENUS),
+        ("2", "20", UNAFFORDABLE_PRICE_MENUS),
+    ], ids=["header-only", "all-rejected"])
+    def test_no_placed_rows_print_no_table(self, tmp_path, capsys, pattern, requests, price_menus):
+        scenario = edited_paper(tmp_path, PAPER_PRICE_MENUS, price_menus)
+        argv = ["--scenario", scenario, "--pattern", pattern, "--requests", requests, "--out", str(tmp_path)]
+        assert main(["run", *argv]) == 0
+        trace = tmp_path / f"trace_{pattern}.csv"
+        capsys.readouterr()
+        assert main(["report", str(trace)]) == 0
+        assert capsys.readouterr().out == f"\n## {trace}: {requests} requests, 0 placed, {requests} rejected\n"
 
     def test_tampered_response_time_flagged(self, tmp_path, capsys):
         main(["run", "--paper", "--pattern", "2", "--requests", "60", "--seed", "4", "--out", str(tmp_path)])
@@ -648,6 +684,18 @@ class TestRefusals:
     def test_bad_report_row(self, tmp_path, capsys, paper_runs, column, value, message):
         path = tampered_trace(tmp_path, paper_runs.trace(PatternKind.PATTERN2, 4, 30), 6, column, value)
         self.refused(capsys, ["report", str(path)], 2, f"error: {path}: row 6 {message}\n")
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S: without it, .pth files of the environment's site-packages import modules of their own.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import pkgutil, sys; sys.path.insert(0, sys.argv[1]); import edge_placer\n"
+        "for module in pkgutil.iter_modules(edge_placer.__path__): __import__(f'edge_placer.{module.name}')\n"
+        "print(sorted({name.partition('.')[0] for name in sys.modules} - sys.stdlib_module_names - {'__main__'}))"
+    )
+    loaded = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True).stdout
+    assert loaded == "['edge_placer']\n"
 
 
 def test_cli_import_leaves_lp_export_unloaded():

@@ -155,7 +155,6 @@ def scenarios(draw):
     user = carrier * draw(st.integers(0, 2))
     app_names = draw(st.lists(names.filter(bool), min_size=1, max_size=3, unique=True))
     return Scenario(
-        schema_version=1,
         name=draw(names),
         cloud=draw(tier_plans(cloud)),
         carrier=draw(tier_plans(carrier)),

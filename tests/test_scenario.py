@@ -389,6 +389,17 @@ class TestValidateScenario:
         violations = validate_scenario(gutted)
         assert any("no variant" in v for v in violations)
 
+    def test_mix_weights_must_add_up_to_a_finite_total(self, paper):
+        # Each weight is finite, but their total is not: every draw would pick the last app.
+        nas, mri = (dataclasses.replace(entry, mix_weight=1e308) for entry in paper.apps)
+        huge = dataclasses.replace(paper, apps=(nas, mri))
+        assert huge.mix_cumulative() == [0.0, 1.0]
+        assert validate_scenario(huge) == ["mix weights must add up to a finite total"]
+        # Added left to right on every CPython, which `sum` (compensated from 3.12 on) is not.
+        tenths = dataclasses.replace(paper, apps=(dataclasses.replace(paper.apps[0], mix_weight=0.1),) * 10)
+        assert tenths.mix_total() == 0.9999999999999999
+        assert validate_scenario(tenths) == []
+
     def test_indivisible_counts_flagged(self, paper):
         from dataclasses import replace
 

@@ -4,12 +4,32 @@ from edge_placer.cli import trace_csv_text
 from edge_placer.model import Tier, ValidationError
 from edge_placer.simulator import (
     PatternKind,
-    SplitMix64,
     compute_metrics,
     generate_requests,
     run_simulation,
+    splitmix64_outputs,
 )
 from edge_placer.solver import RequirementKind, ResidualState, apply_placement
+
+
+class SplitMix64:
+    """One draw per method call, as the pinned draw order names them; a test reference for the inline draws."""
+
+    def __init__(self, seed: int):
+        self._outputs = splitmix64_outputs(seed)
+
+    def next_u64(self) -> int:
+        return next(self._outputs)
+
+    def next_double(self) -> float:
+        """Uniform double in [0, 1): top 53 bits of the next output."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_below(self, n: int) -> int:
+        """Next output modulo n (modulo bias is accepted and pinned)."""
+        if n <= 0:
+            raise ValueError("n must be > 0")
+        return self.next_u64() % n
 
 
 class TestSplitMix64:
@@ -134,6 +154,31 @@ class TestGenerateRequests:
             assert [
                 (r.id, r.app, r.input_node.id, r.requirement.kind, r.requirement.bounds) for r in stream
             ] == expected, seed
+
+    def test_input_draw_indexes_ids_in_string_order(self, paper):
+        # Past input999 the ids take four digits, so string order is not creation order.
+        from dataclasses import replace
+
+        from edge_placer.model import build_topology
+
+        scenario = replace(paper, input_nodes=1200)
+        topology = build_topology(scenario.topology_spec())
+        created = list(topology.input_nodes)
+        inputs = sorted(created)
+        assert inputs[100:102] == ["input100", "input1000"] and created[100:102] == ["input100", "input101"]
+        cumulative = scenario.mix_cumulative()
+        seed, n = 42, 2000
+        rng = SplitMix64(seed)
+        expected, by_creation = [], []
+        for _ in range(n):
+            u = rng.next_double()
+            app = scenario.apps[next(i for i, c in enumerate(cumulative) if u < c)].app
+            index = rng.next_below(len(inputs))
+            expected.append((app, inputs[index]))
+            by_creation.append((app, created[index]))
+        stream = generate_requests(scenario, PatternKind.PATTERN2, n, seed, topology=topology)
+        assert [(r.app, r.input_node.id) for r in stream] == expected
+        assert expected != by_creation
 
     def test_same_name_apps_keep_their_own_ladders(self, paper):
         # The parser refuses repeated app names; a scenario built in code may hold them.
@@ -265,8 +310,8 @@ class TestComputeMetrics:
     def test_counts_sum_to_placed(self, paper_runs):
         metrics = paper_runs.metrics(PatternKind.PATTERN1, 1)
         last = metrics.points[-1]
-        assert sum(last.tier_counts.values()) == metrics.total_placed
-        assert metrics.total_placed + metrics.total_rejections == metrics.total_requests
+        assert sum(last.tier_counts.values()) == len(metrics.points)
+        assert len(metrics.points) + metrics.total_rejections == metrics.total_requests
 
     def test_recomputable_from_trace(self, paper_runs):
         trace = paper_runs.trace(PatternKind.PATTERN3, 2)
