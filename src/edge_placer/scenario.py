@@ -45,6 +45,7 @@ from .pricing import AppType, AppVariant, transfer_time
 SCHEMA_VERSION = 1
 
 _SECTIONS = ("topology", "pricing", "links", "apps", "requests")
+_NO_APPS = "at least one app is required"
 
 
 class ScenarioError(ValueError):
@@ -100,18 +101,14 @@ class Scenario:
     carrier_cloud_link: LinkSpec
     apps: tuple[AppEntry, ...]
 
-    def tier_multiplier(self, tier: Tier) -> float:
-        if tier is Tier.CLOUD:
-            return 1.0
-        return self.carrier_multiplier if tier is Tier.CARRIER_EDGE else self.user_multiplier
-
     def tier_plan(self, tier: Tier) -> TierPlan:
         return {Tier.CLOUD: self.cloud, Tier.CARRIER_EDGE: self.carrier, Tier.USER_EDGE: self.user}[tier]
 
     def device_full_cost(self, tier: Tier, device_class: DeviceClass) -> float:
         """Monthly cost of one whole device of that class at that tier."""
         plan = self.cloud if self.flat_server_pricing else self.tier_plan(tier)
-        return self.unit_price[device_class] * plan.capacity[device_class] * self.tier_multiplier(tier)
+        multipliers = {Tier.CARRIER_EDGE: self.carrier_multiplier, Tier.USER_EDGE: self.user_multiplier}
+        return self.unit_price[device_class] * plan.capacity[device_class] * multipliers.get(tier, 1.0)
 
     def topology_spec(self) -> TopologySpec:
         def tier_spec(tier: Tier) -> TierSpec:
@@ -156,7 +153,8 @@ class Scenario:
         for entry in self.apps:
             acc += entry.mix_weight / total
             out.append(acc)
-        out[-1] = 1.0
+        if out:
+            out[-1] = 1.0
         return out
 
 
@@ -393,17 +391,18 @@ def _parse_lines(text: str) -> tuple[dict[str, _Section], list[_Section]]:
     return sections, apps
 
 
-def _number(value: Any, kind: type, what: str, line: int, bound: str = ""):
+def _number(value: Any, kind: type, what: str, line: int | None, bound: str = ""):
     """``value`` as ``kind`` (int or float); refuses other JSON types, and values outside ``bound`` if given."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ScenarioError(f"{what} must be {'an integer' if kind is int else 'a number'}", line)
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int past floats: only code builds these
+        raise ScenarioError(f"{what} must be finite", line)
     if bound and (value < 0 or (value == 0 and bound == "> 0")):
         raise ScenarioError(f"{what} must be {bound}", line)
     return kind(value)
 
 
-def _class_map(section: _Section, key: str, kind: type, bound: str) -> dict[DeviceClass, Any]:
-    raw, line = section.take(key, dict)
+def _class_map(raw: dict, line: int | None, key: str, kind: type, bound: str) -> dict[DeviceClass, Any]:
     out: dict[DeviceClass, Any] = {}
     for cls_name, value in raw.items():
         try:
@@ -414,13 +413,29 @@ def _class_map(section: _Section, key: str, kind: type, bound: str) -> dict[Devi
     return out
 
 
-def _menu(raw: Any, key: str, line: int) -> tuple[float, ...]:
+def _menu(raw: Any, key: str, line: int | None) -> tuple[float, ...]:
     if not isinstance(raw, list):
         raise ScenarioError(f"{key!r} must be an array", line)
     values = [_number(v, float, f"{key!r}: menu value", line, "> 0") for v in raw]
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ScenarioError(f"{key!r}: menu values must be strictly increasing", line)
     return tuple(values)
+
+
+def _check_app_name(name: str, earlier: list[str], line: int | None):
+    if not name:
+        raise ScenarioError("app name must be non-empty", line)
+    if name in earlier:
+        raise ScenarioError(f"duplicate app name {name!r}", line)
+
+
+def _refusal(check, *args) -> list[str]:
+    """The message of the ``ScenarioError`` that ``check(*args)`` raises, as a list; empty if none."""
+    try:
+        check(*args)
+    except ScenarioError as exc:
+        return [str(exc)]
+    return []
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -434,26 +449,27 @@ def parse_scenario(text: str) -> Scenario:
     name, _ = top.take("name", str)
     top.finish()
 
-    for section in ("topology", "pricing", "links", "requests"):
-        if section not in sections:
+    for section in _SECTIONS:
+        if section != "apps" and section not in sections:  # the [[apps]] check follows
             raise ScenarioError(f"missing section [{section}]")
     if not apps:
-        raise ScenarioError("missing section [[apps]]: at least one app is required")
+        raise ScenarioError(f"missing section [[apps]]: {_NO_APPS}")
 
     topo = sections["topology"]
     count_keys = ("cloud_sites", "carrier_sites", "user_sites", "input_nodes")
     counts = {key: topo.take(key, int, ">= 0")[0] for key in count_keys}
     plans: dict[Tier, TierPlan] = {}
     for tier in reversed(Tier):  # cloud, carrier, user: the file's order; each key is ``tier.value``
-        fleet = _class_map(topo, f"{tier.value}_fleet", int, ">= 0")
-        capacity = _class_map(topo, f"{tier.value}_capacity", float, "> 0")
+        fleet_key, capacity_key = f"{tier.value}_fleet", f"{tier.value}_capacity"
+        fleet = _class_map(*topo.take(fleet_key, dict), fleet_key, int, ">= 0")
+        capacity = _class_map(*topo.take(capacity_key, dict), capacity_key, float, "> 0")
         plans[tier] = TierPlan(sites=counts[f"{tier.value}_sites"], fleet=fleet, capacity=capacity)
         for message in _missing_capacity(plans[tier], tier.value):  # the first, as validate_scenario lists them
             raise ScenarioError(message, topo.line)
     topo.finish()
 
     pricing = sections["pricing"]
-    unit_price = _class_map(pricing, "unit_price", float, ">= 0")
+    unit_price = _class_map(*pricing.take("unit_price", dict), "unit_price", float, ">= 0")
     carrier_multiplier, _ = pricing.take("carrier_multiplier", float, "> 0")
     user_multiplier, _ = pricing.take("user_multiplier", float, "> 0")
     flat, _ = pricing.take("flat_server_pricing", bool)
@@ -474,10 +490,7 @@ def parse_scenario(text: str) -> Scenario:
     app_types: list[AppType] = []
     for entry in apps:
         app_name, nline = entry.take("name", str)
-        if not app_name:
-            raise ScenarioError("app name must be non-empty", nline)
-        if any(a.name == app_name for a in app_types):
-            raise ScenarioError(f"duplicate app name {app_name!r}", nline)
+        _check_app_name(app_name, [a.name for a in app_types], nline)
         data_mb, _ = entry.take("transfer_data_mb", float)
         bandwidth, _ = entry.take("bandwidth_mbps", float)
         raw_variants, vline2 = entry.take("variants", list)
@@ -560,66 +573,64 @@ def _dump(value: Any) -> str:
     return text if text.isascii() else text.translate(_LINE_BREAK_ESCAPES)
 
 
-def _class_table(table: Mapping[DeviceClass, Any]) -> str:
-    ordered = {cls.value: table[cls] for cls in CLASS_ORDER if cls in table}
-    return _dump(ordered)
+def _class_table(table: Mapping[DeviceClass, Any]) -> dict[str, Any]:
+    return {cls.value: table[cls] for cls in CLASS_ORDER if cls in table}
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text form; parse(serialize(s)) == s for every valid scenario."""
-    out = [
-        f"schema_version = {SCHEMA_VERSION}",
-        f"name = {_dump(scenario.name)}",
-        "",
-        "[topology]",
-        f"cloud_sites = {scenario.cloud.sites}",
-        f"carrier_sites = {scenario.carrier.sites}",
-        f"user_sites = {scenario.user.sites}",
-        f"input_nodes = {scenario.input_nodes}",
-    ]
-    for tier in reversed(Tier):
-        out.append(f"{tier.value}_fleet = {_class_table(scenario.tier_plan(tier).fleet)}")
-        out.append(f"{tier.value}_capacity = {_class_table(scenario.tier_plan(tier).capacity)}")
-    out += [
-        "",
-        "[pricing]",
-        f"unit_price = {_class_table(scenario.unit_price)}",
-        f"carrier_multiplier = {_dump(scenario.carrier_multiplier)}",
-        f"user_multiplier = {_dump(scenario.user_multiplier)}",
-        f"flat_server_pricing = {_dump(scenario.flat_server_pricing)}",
-        "",
-        "[links]",
-    ]
-    for key, spec in (("user_carrier", scenario.user_carrier_link), ("carrier_cloud", scenario.carrier_cloud_link)):
-        out.append(
-            f"{key} = " + _dump({"bandwidth_mbps": spec.bandwidth_capacity, "monthly_cost": spec.monthly_cost})
-        )
-    for entry in scenario.apps:
-        out += [
-            "",
-            "[[apps]]",
-            f"name = {_dump(entry.app.name)}",
-            f"transfer_data_mb = {_dump(entry.app.transfer_data_size)}",
-            f"bandwidth_mbps = {_dump(entry.app.bandwidth_demand)}",
-            "variants = " + _dump([
+    """Canonical text form: one ``key = value`` line per entry, the sections in file order.
+
+    The contract: when ``validate_scenario(scenario)`` is empty,
+    ``parse_scenario`` reads the text back to a scenario equal to it.
+    """
+    plans = [(tier.value, scenario.tier_plan(tier)) for tier in reversed(Tier)]
+    links = {"user_carrier": scenario.user_carrier_link, "carrier_cloud": scenario.carrier_cloud_link}
+    document = [  # (header, entries) per section in file order; the top-level keys have no header
+        (None, {"schema_version": SCHEMA_VERSION, "name": scenario.name}),
+        ("[topology]", {
+            **{f"{key}_sites": plan.sites for key, plan in plans},
+            "input_nodes": scenario.input_nodes,
+            **{
+                f"{key}_{part}": _class_table(getattr(plan, part))
+                for key, plan in plans
+                for part in ("fleet", "capacity")
+            },
+        }),
+        ("[pricing]", {
+            "unit_price": _class_table(scenario.unit_price),
+            "carrier_multiplier": scenario.carrier_multiplier,
+            "user_multiplier": scenario.user_multiplier,
+            "flat_server_pricing": scenario.flat_server_pricing,
+        }),
+        ("[links]", {
+            key: {"bandwidth_mbps": spec.bandwidth_capacity, "monthly_cost": spec.monthly_cost}
+            for key, spec in links.items()
+        }),
+        *(("[[apps]]", {
+            "name": entry.app.name,
+            "transfer_data_mb": entry.app.transfer_data_size,
+            "bandwidth_mbps": entry.app.bandwidth_demand,
+            "variants": [
                 {
                     "device_class": v.device_class.value,
                     "processing_time_s": v.processing_time,
                     "resource_demand": v.resource_demand,
                 }
                 for v in entry.app.variants
-            ]),
-        ]
-    names = [entry.app.name for entry in scenario.apps]
-    out += [
-        "",
-        "[requests]",
-        "mix = " + _dump({n: e.mix_weight for n, e in zip(names, scenario.apps)}),
-        "price_menus = " + _dump({n: list(e.price_menu) for n, e in zip(names, scenario.apps)}),
-        "deadline_menus = " + _dump({n: list(e.deadline_menu) for n, e in zip(names, scenario.apps)}),
-        "",
+            ],
+        }) for entry in scenario.apps),
+        ("[requests]", {
+            "mix": {e.app.name: e.mix_weight for e in scenario.apps},
+            "price_menus": {e.app.name: list(e.price_menu) for e in scenario.apps},
+            "deadline_menus": {e.app.name: list(e.deadline_menu) for e in scenario.apps},
+        }),
     ]
-    return "\n".join(out)
+    out = []
+    for header, entries in document:
+        if header:
+            out += ["", header]
+        out += [f"{key} = {_dump(value)}" for key, value in entries.items()]
+    return "\n".join(out) + "\n"
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -627,16 +638,25 @@ def scenario_hash(scenario: Scenario) -> str:
 
 
 def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> list[str]:
-    """Cross-checks beyond the schema; returns violations (empty when sound).
+    """The scenario's violations; empty when it is sound.
 
-    ``require_placeable=False`` drops the check that every app has a variant
-    for some device class of the fleet: an app that no device can host still
-    has a well-defined, infeasible per-request model.
+    Every rule ``parse_scenario`` applies to a value is checked here too,
+    worded as the reader words it but without a line (a menu's message
+    names its app first), so an empty list means that
+    ``serialize_scenario``'s text parses back to an equal scenario.  The
+    cross-checks beyond the reader follow: the topology must build, and
+    each app must be placeable, move data in finite time and have a menu.
+    ``require_placeable=False`` drops the check that every app has a
+    variant for some device class of the fleet: an app that no device can
+    host still has a well-defined, infeasible per-request model.
     """
     available: set[DeviceClass] = set()
     violations = []
-    for tier in reversed(Tier):
+    for tier in reversed(Tier):  # cloud, carrier, user: the reader's order
         plan = scenario.tier_plan(tier)
+        for part, kind, bound in (("fleet", int, ">= 0"), ("capacity", float, "> 0")):
+            table = _class_table(getattr(plan, part))
+            violations += _refusal(_class_map, table, None, f"{tier.value}_{part}", kind, bound)
         violations += _missing_capacity(plan, tier.value)
         available.update(_hosted_classes(plan))
     if scenario.flat_server_pricing and not violations:  # every class is priced at the cloud's capacity
@@ -645,16 +665,26 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
             for cls in CLASS_ORDER
             if cls in available and cls not in scenario.cloud.capacity
         ]
+    violations += _refusal(_class_map, _class_table(scenario.unit_price), None, "unit_price", float, ">= 0")
     violations += [
         f"unit_price is missing device class {cls.value!r}"
         for cls in CLASS_ORDER
         if cls in available and cls not in scenario.unit_price
     ]
+    for key in ("carrier_multiplier", "user_multiplier"):
+        violations += _refusal(_number, getattr(scenario, key), float, repr(key), None, "> 0")
     if not violations:  # the topology spec has a capacity and a price for every class in ``available``
         violations = topology_spec_errors(scenario.topology_spec())
 
-    for entry in scenario.apps:
+    if not scenario.apps:
+        violations.append(_NO_APPS)
+    names = [entry.app.name for entry in scenario.apps]
+    for i, entry in enumerate(scenario.apps):
         app = entry.app
+        violations += _refusal(_check_app_name, app.name, names[:i], None)
+        violations += _refusal(_number, entry.mix_weight, float, f"'mix' weight for {app.name!r}", None, "> 0")
+        for key, menu in (("price_menus", entry.price_menu), ("deadline_menus", entry.deadline_menu)):
+            violations += [f"app {app.name!r}: {message}" for message in _refusal(_menu, list(menu), key, None)]
         if require_placeable and not any(v.device_class in available for v in app.variants):
             violations.append(f"app {app.name!r}: no variant's device class exists anywhere in the topology")
         if not math.isfinite(transfer_time(app.transfer_data_size, app.bandwidth_demand)):

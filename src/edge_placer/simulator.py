@@ -111,6 +111,8 @@ def generate_requests(
     input_nodes = [topology.input_nodes[i] for i in sorted(topology.input_nodes)]
     if n > 0 and not input_nodes:
         raise ValidationError("scenario has no input nodes to originate requests")
+    if n > 0 and not scenario.apps:
+        raise ValidationError("scenario has no apps to draw requests from")
 
     # Per app entry, in catalog order: the requirements a request of it draws
     # from (pattern 1, draw 3) or the one it always gets (patterns 2 and 3).

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -108,6 +109,14 @@ class TestRoundTrip:
     def test_demo_round_trip(self):
         demo = cost_performance_demo_scenario()
         assert parse_scenario(serialize_scenario(demo)) == demo
+
+    @pytest.mark.parametrize("preset, digest", [
+        (paper_scenario, "ade8ac706da5dd83897cc43f82dbe0d39fe54ab21dee937c564b661e81c0783d"),
+        (cost_performance_demo_scenario, "30209a16cc1b93128a9a69d496523c8e5fc3dbd9276062d480b51797284d77af"),
+    ], ids=["paper", "demo"])
+    def test_preset_text_bytes_are_pinned(self, preset, digest):
+        # Every summary.md carries the sha256 of this text, so the writer must not change a byte.
+        assert hashlib.sha256(serialize_scenario(preset()).encode("utf-8")).hexdigest() == digest
 
     def test_hash_stable(self, paper):
         assert scenario_hash(paper) == scenario_hash(parse_scenario(serialize_scenario(paper)))
@@ -396,7 +405,10 @@ class TestValidateScenario:
         assert huge.mix_cumulative() == [0.0, 1.0]
         assert validate_scenario(huge) == ["mix weights must add up to a finite total"]
         # Added left to right on every CPython, which `sum` (compensated from 3.12 on) is not.
-        tenths = dataclasses.replace(paper, apps=(dataclasses.replace(paper.apps[0], mix_weight=0.1),) * 10)
+        nas = paper.apps[0]
+        tenths = dataclasses.replace(paper, apps=tuple(
+            dataclasses.replace(nas, app=dataclasses.replace(nas.app, name=f"app{i}"), mix_weight=0.1) for i in range(10)
+        ))
         assert tenths.mix_total() == 0.9999999999999999
         assert validate_scenario(tenths) == []
 
@@ -448,3 +460,38 @@ class TestValidateScenario:
         ]
         assert parse_scenario(serialize_scenario(flat)) == flat
         assert validate_scenario(dataclasses.replace(flat, flat_server_pricing=False)) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: dataclasses.replace(s, carrier_multiplier=0.0), "'carrier_multiplier' must be > 0"),
+        (lambda s: dataclasses.replace(s, user_multiplier=float("nan")), "'user_multiplier' must be finite"),
+        (lambda s: dataclasses.replace(s, user_multiplier=10**400), "'user_multiplier' must be finite"),
+        (lambda s: with_first_app(s, mix_weight=0.0), "'mix' weight for 'NAS.FT' must be > 0"),
+        (lambda s: with_first_app(s, mix_weight=-1.0), "'mix' weight for 'NAS.FT' must be > 0"),
+        (lambda s: with_first_app(s, app=dataclasses.replace(s.apps[0].app, name="")), "app name must be non-empty"),
+        (lambda s: dataclasses.replace(s, apps=(s.apps[0], with_first_app(s, mix_weight=1.0).apps[0])),
+         "duplicate app name 'NAS.FT'"),
+        (lambda s: with_first_app(s, price_menu=(3.0, 2.0)),
+         "app 'NAS.FT': 'price_menus': menu values must be strictly increasing"),
+        (lambda s: with_first_app(s, price_menu=(0.0,)), "app 'NAS.FT': 'price_menus': menu value must be > 0"),
+        (lambda s: with_first_app(s, deadline_menu=(float("nan"),)),
+         "app 'NAS.FT': 'deadline_menus': menu value must be finite"),
+        (lambda s: dataclasses.replace(s, apps=()), "at least one app is required"),
+        (lambda s: dataclasses.replace(s, cloud=TierPlan(5, {**s.cloud.fleet, DeviceClass.FPGA: -1}, s.cloud.capacity)),
+         "'cloud_fleet': value for 'fpga' must be >= 0"),
+        (lambda s: dataclasses.replace(s, user=TierPlan(60, s.user.fleet, {**s.user.capacity, DeviceClass.FPGA: 0.0})),
+         "'user_capacity': value for 'fpga' must be > 0"),
+        (lambda s: dataclasses.replace(s, unit_price={**s.unit_price, DeviceClass.FPGA: -1.0}),
+         "'unit_price': value for 'fpga' must be >= 0"),
+    ], ids=["carrier-multiplier-zero", "user-multiplier-nan", "user-multiplier-huge-int", "mix-weight-zero",
+            "mix-weight-negative", "empty-app-name", "duplicate-app-name", "menu-not-increasing", "menu-value-zero",
+            "deadline-nan", "no-apps", "unhosted-fleet-negative", "unhosted-capacity-zero", "unit-price-negative"])
+    def test_refuses_what_the_reader_refuses(self, paper, edit, message):
+        # Worded as the reader words it, without a line; the reader refuses the serialized text.
+        scenario = edit(paper)
+        assert validate_scenario(scenario) == [message]
+        with pytest.raises(ScenarioError):
+            parse_scenario(serialize_scenario(scenario))
+
+
+def with_first_app(scenario, **changes):
+    return dataclasses.replace(scenario, apps=(dataclasses.replace(scenario.apps[0], **changes),) + scenario.apps[1:])

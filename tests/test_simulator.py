@@ -1,7 +1,9 @@
 import pytest
 
+from types import SimpleNamespace
+
 from edge_placer.cli import trace_csv_text
-from edge_placer.model import Tier, ValidationError
+from edge_placer.model import Tier, ValidationError, build_topology
 from edge_placer.simulator import (
     PatternKind,
     compute_metrics,
@@ -9,7 +11,8 @@ from edge_placer.simulator import (
     run_simulation,
     splitmix64_outputs,
 )
-from edge_placer.solver import RequirementKind, ResidualState, apply_placement
+from edge_placer.solver import Bound, RequirementKind, ResidualState, apply_placement
+from test_solver import TOL, oracle_solve
 
 
 class SplitMix64:
@@ -221,6 +224,15 @@ class TestGenerateRequests:
             generate_requests(no_inputs, PatternKind.PATTERN1, 1, 1)
 
 
+    def test_no_apps_rejected(self, paper):
+        from dataclasses import replace
+
+        no_apps = replace(paper, apps=())
+        assert generate_requests(no_apps, PatternKind.PATTERN1, 0, 1) == []
+        with pytest.raises(ValidationError, match="^scenario has no apps to draw requests from$"):
+            generate_requests(no_apps, PatternKind.PATTERN1, 1, 1)
+
+
 class TestRunSimulation:
     def test_first_nas_ft_pattern3_at_user_edge(self, paper_runs):
         trace = paper_runs.trace(PatternKind.PATTERN3, 1)
@@ -259,6 +271,70 @@ class TestRunSimulation:
         first = trace_csv_text(run_simulation(paper, PatternKind.PATTERN1, 300, 77))
         second = trace_csv_text(run_simulation(paper, PatternKind.PATTERN1, 300, 77))
         assert first == second
+
+
+def reference_outcomes(topology, stream):
+    """An engine that shares no solver or loop code with ``run_simulation``.
+
+    Per request it takes the first rung whose exhaustive ``oracle_solve`` is
+    not None, then subtracts the demand from its own residual dicts, walking
+    the path up from the input's user edge with ``topology.uplink_by_child``.
+    """
+    residual = SimpleNamespace(
+        device_remaining={d.id: d.capacity for d in topology.devices.values()},
+        link_remaining={l.id: l.bandwidth_capacity for l in topology.links.values()},
+    )
+    outcomes = []
+    for request in stream:
+        kind = request.requirement.kind
+        found = next(
+            ((value, best) for value in request.requirement.bounds
+             if (best := oracle_solve(topology, residual, request, Bound(kind, value))) is not None),
+            None,
+        )
+        if found is None:
+            outcomes.append(None)
+            continue
+        value, (_, _, _, device_id, rt, pr) = found
+        device = topology.devices[device_id]
+        residual.device_remaining[device_id] -= request.app.variant_for(device.device_class).resource_demand
+        site = request.input_node.attached_user_edge
+        while site != device.site_id:
+            link = topology.uplink_by_child[site]
+            residual.link_remaining[link.id] -= request.app.bandwidth_demand
+            site = link.parent_site
+        outcomes.append((device_id, device.tier, kind, value, rt, pr))
+    return outcomes, residual
+
+
+class TestStreamDifferential:
+    def test_paper_streams_match_the_reference_engine(self, paper):
+        # All three patterns on one shared topology, as the run command places them.  At seed 42,
+        # 900 requests each reach the first rejections of every pattern (45, 14 and 2 of them).
+        topology = build_topology(paper.topology_spec())
+        for pattern in PatternKind:
+            trace = run_simulation(paper, pattern, 900, 42, topology=topology)
+            stream = generate_requests(paper, pattern, 900, 42, topology=topology)
+            rejected = 0
+            expected, residual = reference_outcomes(topology, stream)
+            assert [o.request for o in trace.outcomes] == stream
+            for outcome, want in zip(trace.outcomes, expected):
+                placement = outcome.placement
+                if want is None:
+                    assert placement is None, outcome.request.id
+                    rejected += 1
+                    continue
+                device_id, tier, kind, value, rt, pr = want
+                assert placement is not None, outcome.request.id
+                got = (placement.device_id, placement.tier, placement.granted_bound.kind, placement.granted_bound.value)
+                assert got == (device_id, tier, kind, value), outcome.request.id
+                assert placement.response_time == pytest.approx(rt, abs=TOL)
+                assert placement.price == pytest.approx(pr, abs=TOL)
+            for remaining, reference in ((trace.final_state.device_remaining, residual.device_remaining),
+                                         (trace.final_state.link_remaining, residual.link_remaining)):
+                assert remaining.keys() == reference.keys()
+                assert all(abs(remaining[key] - reference[key]) <= TOL for key in reference)
+            assert rejected > 0, pattern  # rejections are compared too
 
 
 class TestComputeMetrics:
