@@ -45,7 +45,6 @@ from .pricing import AppType, AppVariant, transfer_time
 SCHEMA_VERSION = 1
 
 _SECTIONS = ("topology", "pricing", "links", "apps", "requests")
-_NO_APPS = "at least one app is required"
 
 
 class ScenarioError(ValueError):
@@ -68,14 +67,6 @@ class TierPlan:
 def _hosted_classes(plan: TierPlan) -> list[DeviceClass]:
     """The device classes a tier's sites hold, in ``CLASS_ORDER``: none when it has no sites."""
     return [cls for cls in CLASS_ORDER if plan.sites > 0 and plan.fleet.get(cls, 0) > 0]
-
-
-def _missing_capacity(plan: TierPlan, tier_key: str) -> list[str]:
-    return [
-        f"'{tier_key}_capacity' is missing device class {cls.value!r} used by '{tier_key}_fleet'"
-        for cls in _hosted_classes(plan)
-        if cls not in plan.capacity
-    ]
 
 
 @dataclass(frozen=True)
@@ -331,6 +322,8 @@ class _Section(dict):
             return _number(value, kind, repr(key), line, bound), line
         if not isinstance(value, kind):
             raise ScenarioError(f"{key!r} must be a {kind.__name__}", line)
+        if kind is str and not value.isascii() and any("\ud800" <= char <= "\udfff" for char in value):
+            raise ScenarioError(f"invalid value for {key!r}: lone surrogate escape", line)  # UTF-8 cannot hold one
         return value, line
 
     def finish(self):
@@ -375,12 +368,8 @@ def _parse_lines(text: str) -> tuple[dict[str, _Section], list[_Section]]:
             value, end = _VALUE_DECODER.raw_decode(value_text)
             if value_text[end:].lstrip()[:1] not in ("", "#"):
                 raise json.JSONDecodeError("Extra data", value_text, end)
-            if "\\u" in value_text:  # only a \u escape decodes to a lone surrogate, which UTF-8 cannot hold
-                _dump(value).encode("utf-8")
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid value for {key!r}: {exc.msg}", lineno) from None
-        except UnicodeEncodeError:
-            raise ScenarioError(f"invalid value for {key!r}: lone surrogate escape", lineno) from None
         except ValueError as exc:  # a non-finite or out-of-range number, or a repeated key
             raise ScenarioError(f"invalid value for {key!r}: {exc}", lineno) from None
         except RecursionError:
@@ -413,35 +402,22 @@ def _class_map(raw: dict, line: int | None, key: str, kind: type, bound: str) ->
     return out
 
 
-def _menu(raw: Any, key: str, line: int | None) -> tuple[float, ...]:
+def _menu(raw: Any, what: str, line: int | None) -> tuple[float, ...]:
     if not isinstance(raw, list):
-        raise ScenarioError(f"{key!r} must be an array", line)
-    values = [_number(v, float, f"{key!r}: menu value", line, "> 0") for v in raw]
+        raise ScenarioError(f"{what} must be an array", line)
+    values = [_number(v, float, f"{what}: menu value", line, "> 0") for v in raw]
     if any(a >= b for a, b in zip(values, values[1:])):
-        raise ScenarioError(f"{key!r}: menu values must be strictly increasing", line)
+        raise ScenarioError(f"{what}: menu values must be strictly increasing", line)
     return tuple(values)
-
-
-def _check_app_name(name: str, earlier: list[str], line: int | None):
-    if not name:
-        raise ScenarioError("app name must be non-empty", line)
-    if name in earlier:
-        raise ScenarioError(f"duplicate app name {name!r}", line)
-
-
-def _refusal(check, *args) -> list[str]:
-    """The message of the ``ScenarioError`` that ``check(*args)`` raises, as a list; empty if none."""
-    try:
-        check(*args)
-    except ScenarioError as exc:
-        return [str(exc)]
-    return []
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and schema-validate a scenario document."""
-    sections, apps = _parse_lines(text)
+    return _decode(*_parse_lines(text))
 
+
+def _decode(sections: dict[str, _Section], apps: list[_Section]) -> Scenario:
+    """The scenario the sections hold; raises the first ``ScenarioError`` of the reader's value rules."""
     top = sections["document"]
     version, vline = top.take("schema_version", int)
     if version != SCHEMA_VERSION:
@@ -453,7 +429,7 @@ def parse_scenario(text: str) -> Scenario:
         if section != "apps" and section not in sections:  # the [[apps]] check follows
             raise ScenarioError(f"missing section [{section}]")
     if not apps:
-        raise ScenarioError(f"missing section [[apps]]: {_NO_APPS}")
+        raise ScenarioError("missing section [[apps]]: at least one app is required")
 
     topo = sections["topology"]
     count_keys = ("cloud_sites", "carrier_sites", "user_sites", "input_nodes")
@@ -464,8 +440,10 @@ def parse_scenario(text: str) -> Scenario:
         fleet = _class_map(*topo.take(fleet_key, dict), fleet_key, int, ">= 0")
         capacity = _class_map(*topo.take(capacity_key, dict), capacity_key, float, "> 0")
         plans[tier] = TierPlan(sites=counts[f"{tier.value}_sites"], fleet=fleet, capacity=capacity)
-        for message in _missing_capacity(plans[tier], tier.value):  # the first, as validate_scenario lists them
-            raise ScenarioError(message, topo.line)
+        for cls in _hosted_classes(plans[tier]):
+            if cls not in capacity:
+                message = f"{capacity_key!r} is missing device class {cls.value!r} used by {fleet_key!r}"
+                raise ScenarioError(message, topo.line)
     topo.finish()
 
     pricing = sections["pricing"]
@@ -490,7 +468,10 @@ def parse_scenario(text: str) -> Scenario:
     app_types: list[AppType] = []
     for entry in apps:
         app_name, nline = entry.take("name", str)
-        _check_app_name(app_name, [a.name for a in app_types], nline)
+        if not app_name:
+            raise ScenarioError("app name must be non-empty", nline)
+        if any(a.name == app_name for a in app_types):
+            raise ScenarioError(f"duplicate app name {app_name!r}", nline)
         data_mb, _ = entry.take("transfer_data_mb", float)
         bandwidth, _ = entry.take("bandwidth_mbps", float)
         raw_variants, vline2 = entry.take("variants", list)
@@ -532,21 +513,18 @@ def parse_scenario(text: str) -> Scenario:
         for app_name in table:
             if app_name not in known_names:
                 raise ScenarioError(f"{key!r} references unknown app {app_name!r}", line)
-    (mix_raw, mix_line), (price_menus, pm_line), (deadline_menus, dm_line) = tables.values()
+    mix_raw, mix_line = tables.pop("mix")
 
     entries = []
     for app_type in app_types:
         if app_type.name not in mix_raw:
             raise ScenarioError(f"'mix' is missing app {app_type.name!r}", mix_line)
         weight = _number(mix_raw[app_type.name], float, f"'mix' weight for {app_type.name!r}", mix_line, "> 0")
-        entries.append(
-            AppEntry(
-                app=app_type,
-                mix_weight=weight,
-                price_menu=_menu(price_menus.get(app_type.name, []), "price_menus", pm_line),
-                deadline_menu=_menu(deadline_menus.get(app_type.name, []), "deadline_menus", dm_line),
-            )
+        price_menu, deadline_menu = (  # the price and deadline menus, in ``tables`` order
+            _menu(table.get(app_type.name, []), f"app {app_type.name!r}: {key!r}", line)
+            for key, (table, line) in tables.items()
         )
+        entries.append(AppEntry(app_type, weight, price_menu, deadline_menu))
 
     return Scenario(
         name=name,
@@ -577,15 +555,11 @@ def _class_table(table: Mapping[DeviceClass, Any]) -> dict[str, Any]:
     return {cls.value: table[cls] for cls in CLASS_ORDER if cls in table}
 
 
-def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text form: one ``key = value`` line per entry, the sections in file order.
-
-    The contract: when ``validate_scenario(scenario)`` is empty,
-    ``parse_scenario`` reads the text back to a scenario equal to it.
-    """
+def _document(scenario: Scenario) -> list[tuple[str | None, dict[str, Any]]]:
+    """The values the scenario's text holds: (header, entries) per section in file order, the headerless top first."""
     plans = [(tier.value, scenario.tier_plan(tier)) for tier in reversed(Tier)]
     links = {"user_carrier": scenario.user_carrier_link, "carrier_cloud": scenario.carrier_cloud_link}
-    document = [  # (header, entries) per section in file order; the top-level keys have no header
+    return [
         (None, {"schema_version": SCHEMA_VERSION, "name": scenario.name}),
         ("[topology]", {
             **{f"{key}_sites": plan.sites for key, plan in plans},
@@ -625,8 +599,16 @@ def serialize_scenario(scenario: Scenario) -> str:
             "deadline_menus": {e.app.name: list(e.deadline_menu) for e in scenario.apps},
         }),
     ]
+
+
+def serialize_scenario(scenario: Scenario) -> str:
+    """Canonical text form: one ``key = value`` line per entry, the sections in file order.
+
+    The contract: when ``validate_scenario(scenario)`` is empty,
+    ``parse_scenario`` reads the text back to a scenario equal to it.
+    """
     out = []
-    for header, entries in document:
+    for header, entries in _document(scenario):
         if header:
             out += ["", header]
         out += [f"{key} = {_dump(value)}" for key, value in entries.items()]
@@ -640,51 +622,51 @@ def scenario_hash(scenario: Scenario) -> str:
 def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> list[str]:
     """The scenario's violations; empty when it is sound.
 
-    Every rule ``parse_scenario`` applies to a value is checked here too,
-    worded as the reader words it but without a line (a menu's message
-    names its app first), so an empty list means that
-    ``serialize_scenario``'s text parses back to an equal scenario.  The
-    cross-checks beyond the reader follow: the topology must build, and
-    each app must be placeable, move data in finite time and have a menu.
+    The reader runs on the scenario's own document, the values
+    ``serialize_scenario`` writes, without lines: its first refusal is the
+    one violation, and so is a scenario that reads back unequal, so an
+    empty list means that the text parses back to an equal scenario.  The
+    cross-checks beyond the reader follow: flat pricing and the unit
+    prices must cover the hosted classes, the topology must build, each
+    app must be placeable, move data in finite time and have a menu, and
+    the mix weights must add up to a finite total.
     ``require_placeable=False`` drops the check that every app has a
     variant for some device class of the fleet: an app that no device can
     host still has a well-defined, infeasible per-request model.
     """
-    available: set[DeviceClass] = set()
-    violations = []
-    for tier in reversed(Tier):  # cloud, carrier, user: the reader's order
-        plan = scenario.tier_plan(tier)
-        for part, kind, bound in (("fleet", int, ">= 0"), ("capacity", float, "> 0")):
-            table = _class_table(getattr(plan, part))
-            violations += _refusal(_class_map, table, None, f"{tier.value}_{part}", kind, bound)
-        violations += _missing_capacity(plan, tier.value)
-        available.update(_hosted_classes(plan))
-    if scenario.flat_server_pricing and not violations:  # every class is priced at the cloud's capacity
-        violations = [
-            f"'cloud_capacity' is missing device class {cls.value!r} used by flat_server_pricing"
-            for cls in CLASS_ORDER
-            if cls in available and cls not in scenario.cloud.capacity
-        ]
-    violations += _refusal(_class_map, _class_table(scenario.unit_price), None, "unit_price", float, ">= 0")
+    sections: dict[str, _Section] = {}
+    apps: list[_Section] = []
+    for header, entries in _document(scenario):
+        name = header.strip("[]") if header else "document"
+        section = _Section(f"apps #{len(apps) + 1}" if name == "apps" else name)
+        section.update((key, (value, None)) for key, value in entries.items())
+        if name == "apps":
+            apps.append(section)
+        else:
+            sections[name] = section
+    try:
+        decoded = _decode(sections, apps)
+    except ScenarioError as exc:
+        return [str(exc)]
+    if decoded != scenario:
+        lost = [key for key in vars(scenario) if getattr(decoded, key) != getattr(scenario, key)]
+        return [f"the scenario does not survive its text form: {', '.join(lost)} reads back different"]
+
+    available = {cls for tier in Tier for cls in _hosted_classes(scenario.tier_plan(tier))}
+    violations = [  # flat pricing prices every class at the cloud's capacity
+        f"'cloud_capacity' is missing device class {cls.value!r} used by flat_server_pricing"
+        for cls in CLASS_ORDER
+        if scenario.flat_server_pricing and cls in available and cls not in scenario.cloud.capacity
+    ]
     violations += [
         f"unit_price is missing device class {cls.value!r}"
         for cls in CLASS_ORDER
         if cls in available and cls not in scenario.unit_price
     ]
-    for key in ("carrier_multiplier", "user_multiplier"):
-        violations += _refusal(_number, getattr(scenario, key), float, repr(key), None, "> 0")
     if not violations:  # the topology spec has a capacity and a price for every class in ``available``
         violations = topology_spec_errors(scenario.topology_spec())
-
-    if not scenario.apps:
-        violations.append(_NO_APPS)
-    names = [entry.app.name for entry in scenario.apps]
-    for i, entry in enumerate(scenario.apps):
+    for entry in scenario.apps:
         app = entry.app
-        violations += _refusal(_check_app_name, app.name, names[:i], None)
-        violations += _refusal(_number, entry.mix_weight, float, f"'mix' weight for {app.name!r}", None, "> 0")
-        for key, menu in (("price_menus", entry.price_menu), ("deadline_menus", entry.deadline_menu)):
-            violations += [f"app {app.name!r}: {message}" for message in _refusal(_menu, list(menu), key, None)]
         if require_placeable and not any(v.device_class in available for v in app.variants):
             violations.append(f"app {app.name!r}: no variant's device class exists anywhere in the topology")
         if not math.isfinite(transfer_time(app.transfer_data_size, app.bandwidth_demand)):

@@ -1,6 +1,6 @@
 """Property tests: build_topology against topology_spec_errors, the scenario text round trip,
 the solver against an oracle, monotone escalation, residual conservation along seeded streams,
-and the CLI's exit codes on mutated scenario text."""
+whole seeded streams against a reference engine, and the CLI's exit codes on mutated scenario text."""
 
 import dataclasses
 import math
@@ -49,6 +49,7 @@ from edge_placer.solver import (  # noqa: E402
     candidate_table,
     solve_with_escalation,
 )
+from test_simulator import assert_stream_matches_reference  # noqa: E402
 from test_solver import TOL, oracle_solve  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -123,27 +124,33 @@ def test_build_topology_follows_spec_errors(spec):
 
 
 names = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+surrogate_names = st.text(st.characters(categories=("Cs", "Ll")), min_size=1, max_size=3)  # UTF-8 cannot hold one
 positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
 menus = st.lists(positive, max_size=3, unique=True).map(lambda values: tuple(sorted(values)))
 
 
-def or_refused(sound, values, refused):
-    """``values``, or, unless ``sound``, also one of the ``refused`` values the reader refuses."""
-    return values if sound else st.one_of(values, st.sampled_from(refused))
+FAULTS = ("sites", "fleet", "capacity", "class-key", "unit-price", "multiplier", "flat", "link-cost", "name",
+          "app-names", "weight", "menu")
+
+
+def or_refused(fault, kind, values, refused):
+    """``values``, or, when ``fault`` is ``kind``, one of the ``refused`` values the reader refuses."""
+    return st.sampled_from(refused) if fault == kind else values
 
 
 @st.composite
-def tier_plans(draw, sites, sound):
+def tier_plans(draw, sites, fault):
     # Drawn apart, so a fleet may count a class its capacities lack.
-    classes = st.sampled_from(list(DeviceClass))
-    fleet = draw(st.dictionaries(classes, st.integers(0 if sound else -1, 4), max_size=3))
-    capacity = draw(st.dictionaries(classes, or_refused(sound, positive, [0.0, -1.0]), max_size=3))
+    classes = or_refused(fault, "class-key", st.sampled_from(list(DeviceClass)), ["cpu", "tpu"])
+    fleet = draw(st.dictionaries(classes, or_refused(fault, "fleet", st.integers(0, 4), [-1]), max_size=3))
+    capacity = draw(st.dictionaries(classes, or_refused(fault, "capacity", positive, [0.0, -1.0]), max_size=3))
+    sites = draw(or_refused(fault, "sites", st.just(sites), [float(sites), bool(sites)]))
     return TierPlan(sites=sites, fleet=fleet, capacity=capacity)
 
 
 @st.composite
-def app_entries(draw, name, sound):
+def app_entries(draw, name, fault):
     classes = draw(st.permutations(list(DeviceClass)))[: draw(st.integers(1, 3))]
     app = AppType(
         name=name,
@@ -151,38 +158,42 @@ def app_entries(draw, name, sound):
         bandwidth_demand=draw(positive),
         variants=tuple(AppVariant(cls, draw(positive), draw(positive)) for cls in classes),
     )
-    menu = or_refused(sound, menus, [(-1.0,), (0.0,), (2.0, 1.0), (1.0, 1.0)])
-    return AppEntry(app, draw(or_refused(sound, positive, [0.0, -1.0])), draw(menu), draw(menu))
+    menu = or_refused(fault, "menu", menus, [(-1.0,), (0.0,), (2.0, 1.0), (1.0, 1.0)])
+    return AppEntry(app, draw(or_refused(fault, "weight", positive, [0.0, -1.0])), draw(menu), draw(menu))
 
 
 @st.composite
 def scenarios(draw):
-    # Half are sound: every value one the reader takes.  The rest may also hold values it
-    # refuses: weights, multipliers, capacities and menu values of 0 or below, negative fleet
-    # counts and unit prices, menus that do not increase, empty or repeated app names, no apps.
-    sound = draw(st.booleans())
+    # Half are sound: every value one the reader takes.  The rest hold one kind of value it
+    # refuses: float or bool site counts, negative fleet counts, capacities, multipliers, weights
+    # and menu values of 0 or below, a str class key, negative unit prices, an int
+    # flat_server_pricing, a link cost past the float range, a name that is no str or that UTF-8
+    # cannot hold, empty, repeated or unencodable app names or no apps, menus that do not increase.
+    fault = draw(st.sampled_from(FAULTS)) if draw(st.booleans()) else None
     cloud = draw(st.integers(0, 2))
     carrier = cloud * draw(st.integers(0, 2))
     user = carrier * draw(st.integers(0, 2))
-    if sound:
-        app_names = draw(st.lists(names.filter(bool), min_size=1, max_size=3, unique=True))
+    if fault == "app-names":
+        app_names = draw(st.lists(st.one_of(names, st.sampled_from(["", "a"]), surrogate_names), max_size=3))
     else:
-        app_names = draw(st.lists(st.one_of(names, st.sampled_from(["", "a"])), max_size=3))
+        app_names = draw(st.lists(names.filter(bool), min_size=1, max_size=3, unique=True))
     return Scenario(
-        name=draw(names),
-        cloud=draw(tier_plans(cloud, sound)),
-        carrier=draw(tier_plans(carrier, sound)),
-        user=draw(tier_plans(user, sound)),
+        name=draw(or_refused(fault, "name", names, [5, None, "a\ud800", "\udfff"])),
+        cloud=draw(tier_plans(cloud, fault)),
+        carrier=draw(tier_plans(carrier, fault)),
+        user=draw(tier_plans(user, fault)),
         input_nodes=user * draw(st.integers(0, 3)),
         unit_price=draw(st.dictionaries(
-            st.sampled_from(list(DeviceClass)), or_refused(sound, non_negative, [-1.0]), min_size=3 if sound else 0
+            or_refused(fault, "class-key", st.sampled_from(list(DeviceClass)), ["cpu", "tpu"]),
+            or_refused(fault, "unit-price", non_negative, [-1.0]),
+            min_size=0 if fault else 3,
         )),
-        carrier_multiplier=draw(or_refused(sound, positive, [0.0, -1.0])),
-        user_multiplier=draw(or_refused(sound, positive, [0.0, -1.0])),
-        flat_server_pricing=draw(st.booleans()),
-        user_carrier_link=LinkSpec(draw(positive), draw(non_negative)),
+        carrier_multiplier=draw(or_refused(fault, "multiplier", positive, [0.0, -1.0])),
+        user_multiplier=draw(or_refused(fault, "multiplier", positive, [0.0, -1.0])),
+        flat_server_pricing=draw(or_refused(fault, "flat", st.booleans(), [0, 1])),
+        user_carrier_link=LinkSpec(draw(positive), draw(or_refused(fault, "link-cost", non_negative, [10**400]))),
         carrier_cloud_link=LinkSpec(draw(positive), draw(non_negative)),
-        apps=tuple(draw(app_entries(name, sound)) for name in app_names),
+        apps=tuple(draw(app_entries(name, fault)) for name in app_names),
     )
 
 
@@ -359,6 +370,18 @@ def test_placed_demand_plus_residual_is_capacity(case):
                 assert abs(used[key] + remaining[key] - value) <= 1e-9, (request.id, key)
                 assert remaining[key] >= -TOLERANCE, (request.id, key)
     assert state.placements == placed
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(seeded_streams())
+def test_streams_on_one_topology_match_the_reference_engine(case):
+    # All three patterns on one shared topology, as the run command places them, against an engine
+    # that shares no solver or loop code with run_simulation; the drawn pattern is not used.
+    spec, entries, _, seed = case
+    topology = build_topology(spec)
+    scenario = dataclasses.replace(paper_scenario(), apps=entries)  # given the topology, only apps are read
+    for pattern in PatternKind:
+        assert_stream_matches_reference(scenario, pattern, 60, seed, topology)
 
 
 PRESET_TEXTS = [serialize_scenario(paper_scenario()), serialize_scenario(cost_performance_demo_scenario())]

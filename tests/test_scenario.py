@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from edge_placer.cli import main
-from edge_placer.model import DeviceClass, Tier, ValidationError
+from edge_placer.model import DeviceClass, LinkSpec, Tier, ValidationError
 from edge_placer.pricing import AppType, AppVariant
 from edge_placer.scenario import (
     ScenarioError,
@@ -17,6 +17,9 @@ from edge_placer.scenario import (
     validate_scenario,
 )
 from edge_placer.solver import Requirement, RequirementKind
+
+# validate_scenario's message for a scenario whose text reads back to another scenario.
+LOST_IN_TEXT = "the scenario does not survive its text form: {} reads back different"
 
 
 class TestPaperScenario:
@@ -303,15 +306,15 @@ class TestParseErrors:
         ('"monthly_cost": 8000.0', '"monthly_cost": -1', "'carrier_cloud': monthly_cost must be >= 0"),
         ('"MRI-Q": 1.0}', '"MRI-Q": 0}', "'mix' weight for 'MRI-Q' must be > 0"),
         ('"MRI-Q": 1.0}', '"MRI-Q": "1"}', "'mix' weight for 'MRI-Q' must be a number"),
-        ("[7000.0,", "[-7000.0,", "'price_menus': menu value must be > 0"),
-        ("[4.0, 8.0]", "[4.0, true]", "'deadline_menus': menu value must be a number"),
+        ("[7000.0,", "[-7000.0,", "app 'NAS.FT': 'price_menus': menu value must be > 0"),
+        ("[4.0, 8.0]", "[4.0, true]", "app 'MRI-Q': 'deadline_menus': menu value must be a number"),
         ('name = "paper-3tier"', "name = 5", "'name' must be a str"),
         ("schema_version = 1", "schema_version = 2", "unsupported schema_version 2"),
         ("[links]", "[[links]]", "unknown repeated section [[links]]"),
         ("[[apps]]", "[apps]", "apps entries are written as [[apps]]"),
         ("carrier_multiplier = 1.25", "carrier_multiplier = 1.25 1.5",
          "invalid value for 'carrier_multiplier': Extra data"),
-        ("[7000.0, 8500.0, 10000.0]", "7000.0", "'price_menus' must be an array"),
+        ("[7000.0, 8500.0, 10000.0]", "7000.0", "app 'NAS.FT': 'price_menus' must be an array"),
         (', "monthly_cost": 5000.0}', "}", "'user_carrier' must have exactly bandwidth_mbps and monthly_cost"),
         ('name = "NAS.FT"', 'name = ""', "app name must be non-empty"),
         ('name = "MRI-Q"', 'name = "NAS.FT"', "duplicate app name 'NAS.FT'"),
@@ -475,20 +478,44 @@ class TestValidateScenario:
         (lambda s: with_first_app(s, price_menu=(0.0,)), "app 'NAS.FT': 'price_menus': menu value must be > 0"),
         (lambda s: with_first_app(s, deadline_menu=(float("nan"),)),
          "app 'NAS.FT': 'deadline_menus': menu value must be finite"),
-        (lambda s: dataclasses.replace(s, apps=()), "at least one app is required"),
+        (lambda s: dataclasses.replace(s, apps=()), "missing section [[apps]]: at least one app is required"),
         (lambda s: dataclasses.replace(s, cloud=TierPlan(5, {**s.cloud.fleet, DeviceClass.FPGA: -1}, s.cloud.capacity)),
          "'cloud_fleet': value for 'fpga' must be >= 0"),
         (lambda s: dataclasses.replace(s, user=TierPlan(60, s.user.fleet, {**s.user.capacity, DeviceClass.FPGA: 0.0})),
          "'user_capacity': value for 'fpga' must be > 0"),
         (lambda s: dataclasses.replace(s, unit_price={**s.unit_price, DeviceClass.FPGA: -1.0}),
          "'unit_price': value for 'fpga' must be >= 0"),
+        (lambda s: dataclasses.replace(s, cloud=dataclasses.replace(s.cloud, sites=5.0)),
+         "'cloud_sites' must be an integer"),
+        (lambda s: dataclasses.replace(s, input_nodes=300.0), "'input_nodes' must be an integer"),
+        (lambda s: dataclasses.replace(s, cloud=dataclasses.replace(s.cloud, sites=True)),
+         "'cloud_sites' must be an integer"),
+        (lambda s: dataclasses.replace(s, name=5), "'name' must be a str"),
+        (lambda s: dataclasses.replace(s, flat_server_pricing=0), "'flat_server_pricing' must be a bool"),
+        (lambda s: dataclasses.replace(s, user_carrier_link=LinkSpec(True, 0.0)),
+         "'user_carrier': bandwidth_mbps must be a number"),
+        (lambda s: dataclasses.replace(s, user_carrier_link=LinkSpec(30, 10**400)),
+         "'user_carrier': monthly_cost must be finite"),
+        (lambda s: dataclasses.replace(s, name="a\ud800"), "invalid value for 'name': lone surrogate escape"),
+        (lambda s: with_first_app(s, app=dataclasses.replace(s.apps[0].app, name="N\udc00")),
+         "invalid value for 'name': lone surrogate escape"),
+        (lambda s: dataclasses.replace(s, user=dataclasses.replace(s.user, fleet={**s.user.fleet, "tpu": 1})),
+         LOST_IN_TEXT.format("user")),
+        (lambda s: dataclasses.replace(s, user=dataclasses.replace(s.user, fleet={"cpu": 2, DeviceClass.GPU: 1})),
+         LOST_IN_TEXT.format("user")),
     ], ids=["carrier-multiplier-zero", "user-multiplier-nan", "user-multiplier-huge-int", "mix-weight-zero",
             "mix-weight-negative", "empty-app-name", "duplicate-app-name", "menu-not-increasing", "menu-value-zero",
-            "deadline-nan", "no-apps", "unhosted-fleet-negative", "unhosted-capacity-zero", "unit-price-negative"])
+            "deadline-nan", "no-apps", "unhosted-fleet-negative", "unhosted-capacity-zero", "unit-price-negative",
+            "sites-float", "input-nodes-float", "sites-bool", "name-not-str", "flat-pricing-int", "link-bool",
+            "link-cost-huge-int", "name-surrogate", "app-name-surrogate", "fleet-unknown-class", "fleet-str-class"])
     def test_refuses_what_the_reader_refuses(self, paper, edit, message):
-        # Worded as the reader words it, without a line; the reader refuses the serialized text.
+        # Worded as the reader words it, without a line; the reader refuses the serialized text, or, when
+        # the text cannot hold a value (a key that is no DeviceClass), reads it back to another scenario.
         scenario = edit(paper)
         assert validate_scenario(scenario) == [message]
+        if "does not survive its text form" in message:
+            assert parse_scenario(serialize_scenario(scenario)) != scenario
+            return
         with pytest.raises(ScenarioError):
             parse_scenario(serialize_scenario(scenario))
 

@@ -307,33 +307,44 @@ def reference_outcomes(topology, stream):
     return outcomes, residual
 
 
+def assert_stream_matches_reference(scenario, pattern, n, seed, topology):
+    """Run one seeded stream through ``run_simulation`` and ``reference_outcomes`` on ``topology``.
+
+    Compares device, tier, granted rung kind and value, response time and
+    price of every request, the rejections and the final residuals;
+    returns the number of rejections.
+    """
+    trace = run_simulation(scenario, pattern, n, seed, topology=topology)
+    stream = generate_requests(scenario, pattern, n, seed, topology=topology)
+    expected, residual = reference_outcomes(topology, stream)
+    assert [o.request for o in trace.outcomes] == stream
+    rejected = 0
+    for outcome, want in zip(trace.outcomes, expected):
+        placement = outcome.placement
+        if want is None:
+            assert placement is None, outcome.request.id
+            rejected += 1
+            continue
+        device_id, tier, kind, value, rt, pr = want
+        assert placement is not None, outcome.request.id
+        got = (placement.device_id, placement.tier, placement.granted_bound.kind, placement.granted_bound.value)
+        assert got == (device_id, tier, kind, value), outcome.request.id
+        assert placement.response_time == pytest.approx(rt, abs=TOL)
+        assert placement.price == pytest.approx(pr, abs=TOL)
+    for remaining, reference in ((trace.final_state.device_remaining, residual.device_remaining),
+                                 (trace.final_state.link_remaining, residual.link_remaining)):
+        assert remaining.keys() == reference.keys()
+        assert all(abs(remaining[key] - reference[key]) <= TOL for key in reference)
+    return rejected
+
+
 class TestStreamDifferential:
     def test_paper_streams_match_the_reference_engine(self, paper):
         # All three patterns on one shared topology, as the run command places them.  At seed 42,
         # 900 requests each reach the first rejections of every pattern (45, 14 and 2 of them).
         topology = build_topology(paper.topology_spec())
         for pattern in PatternKind:
-            trace = run_simulation(paper, pattern, 900, 42, topology=topology)
-            stream = generate_requests(paper, pattern, 900, 42, topology=topology)
-            rejected = 0
-            expected, residual = reference_outcomes(topology, stream)
-            assert [o.request for o in trace.outcomes] == stream
-            for outcome, want in zip(trace.outcomes, expected):
-                placement = outcome.placement
-                if want is None:
-                    assert placement is None, outcome.request.id
-                    rejected += 1
-                    continue
-                device_id, tier, kind, value, rt, pr = want
-                assert placement is not None, outcome.request.id
-                got = (placement.device_id, placement.tier, placement.granted_bound.kind, placement.granted_bound.value)
-                assert got == (device_id, tier, kind, value), outcome.request.id
-                assert placement.response_time == pytest.approx(rt, abs=TOL)
-                assert placement.price == pytest.approx(pr, abs=TOL)
-            for remaining, reference in ((trace.final_state.device_remaining, residual.device_remaining),
-                                         (trace.final_state.link_remaining, residual.link_remaining)):
-                assert remaining.keys() == reference.keys()
-                assert all(abs(remaining[key] - reference[key]) <= TOL for key in reference)
+            rejected = assert_stream_matches_reference(paper, pattern, 900, 42, topology)
             assert rejected > 0, pattern  # rejections are compared too
 
 
