@@ -26,12 +26,15 @@ class ValidationError(ValueError):
 
 
 class Tier(Enum):
+    # Members are singletons, so identity is their hash: Enum's own hashes the name in Python code.
+    __hash__ = object.__hash__
     USER_EDGE = "user"
     CARRIER_EDGE = "carrier"
     CLOUD = "cloud"
 
 
 class DeviceClass(Enum):
+    __hash__ = object.__hash__  # as Tier's
     CPU = "cpu"
     GPU = "gpu"
     FPGA = "fpga"

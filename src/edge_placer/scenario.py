@@ -624,7 +624,8 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
 
     The reader runs on the scenario's own document, the values
     ``serialize_scenario`` writes, without lines: its first refusal is the
-    one violation, and so is a scenario that reads back unequal, so an
+    one violation, and so is a scenario that has no document (a field of
+    the wrong type) or that reads back unequal, so an
     empty list means that the text parses back to an equal scenario.  The
     cross-checks beyond the reader follow: flat pricing and the unit
     prices must cover the hosted classes, the topology must build, each
@@ -634,9 +635,13 @@ def validate_scenario(scenario: Scenario, require_placeable: bool = True) -> lis
     variant for some device class of the fleet: an app that no device can
     host still has a well-defined, infeasible per-request model.
     """
+    try:
+        document = _document(scenario)
+    except (AttributeError, TypeError) as exc:  # a field of the wrong type, such as a str device class
+        return [f"the scenario has no text form: {exc}"]
     sections: dict[str, _Section] = {}
     apps: list[_Section] = []
-    for header, entries in _document(scenario):
+    for header, entries in document:
         name = header.strip("[]") if header else "document"
         section = _Section(f"apps #{len(apps) + 1}" if name == "apps" else name)
         section.update((key, (value, None)) for key, value in entries.items())

@@ -59,6 +59,7 @@ class PatternKind(Enum):
     request the full deadline ladder, tightest first.
     """
 
+    __hash__ = object.__hash__  # as model.Tier's
     PATTERN1 = 1
     PATTERN2 = 2
     PATTERN3 = 3
@@ -159,17 +160,38 @@ def run_simulation(
 
     A given topology must be the scenario's; sharing one across runs shares
     its candidate tables, which do not depend on residual state.
+
+    A request is rejected without a solve when a ladder of the same
+    (user edge, app, kind) with an equal or looser loosest bound was
+    rejected earlier in the run.  The solver would reject it too: a
+    rejection means that no entry of the kind's sorted view up to the
+    loosest bound (the prefix ``bisect`` cuts) fits the residuals; the
+    view is fixed per (user edge, app), a smaller bound cuts a shorter
+    prefix, and residuals only fall.  A rejection consumes nothing, so
+    every decision and residual is that of the loop without this memo.
     """
     if topology is None:
         topology = build_topology(scenario.topology_spec())
     stream = generate_requests(scenario, pattern, n, seed, topology=topology)
     state = ResidualState.fresh(topology)
     outcomes = []
+    append = outcomes.append
+    rejected = {}  # (user edge, app, kind) -> the largest loosest bound rejected
     for request in stream:
+        requirement = request.requirement
+        key = (request.input_node.attached_user_edge, request.app, requirement.kind)
+        loosest = requirement.bounds[-1]
+        known = rejected.get(key)
+        if known is not None and loosest <= known:
+            append(RequestOutcome(request, None))
+            continue
+        # A module global, read per call: a wrapper set on the module sees every solve.
         outcome = solve_with_escalation(topology, state, request)
         if outcome.placement is not None:
             apply_placement(state, outcome.placement)
-        outcomes.append(outcome)
+        else:  # a miss: no bound was known, or a smaller one
+            rejected[key] = loosest
+        append(outcome)
     return Trace(
         scenario_hash=scenario_hash(scenario),
         pattern=pattern,

@@ -54,6 +54,7 @@ from .pricing import (
 
 
 class RequirementKind(Enum):
+    __hash__ = object.__hash__  # as model.Tier's
     COST_CAP = "cost_cap"  # bound on monthly price; objective: response time
     DEADLINE = "deadline"  # bound on response time; objective: price
 
@@ -198,7 +199,7 @@ class CandidateTable:
         return [metric(e) for e in ordered], ordered
 
     def view(self, kind: RequirementKind) -> tuple[list[float], list[TableEntry]]:
-        # Two attributes, not a dict keyed by kind: an enum hashes in Python code.
+        # Two attributes, not a dict keyed by kind: one identity test picks the view.
         if kind is RequirementKind.COST_CAP:
             if self.by_price is None:
                 self.by_price = self._sorted(_PRICE)

@@ -49,7 +49,7 @@ from edge_placer.solver import (  # noqa: E402
     candidate_table,
     solve_with_escalation,
 )
-from test_simulator import assert_stream_matches_reference  # noqa: E402
+from test_simulator import assert_memo_keeps_the_plain_loop, assert_stream_matches_reference  # noqa: E402
 from test_solver import TOL, oracle_solve  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -131,7 +131,7 @@ menus = st.lists(positive, max_size=3, unique=True).map(lambda values: tuple(sor
 
 
 FAULTS = ("sites", "fleet", "capacity", "class-key", "unit-price", "multiplier", "flat", "link-cost", "name",
-          "app-names", "weight", "menu")
+          "app-names", "weight", "menu", "variant-str-class")
 
 
 def or_refused(fault, kind, values, refused):
@@ -156,7 +156,9 @@ def app_entries(draw, name, fault):
         name=name,
         transfer_data_size=draw(non_negative),
         bandwidth_demand=draw(positive),
-        variants=tuple(AppVariant(cls, draw(positive), draw(positive)) for cls in classes),
+        # A str class leaves the scenario with no text: the writer reads the class's value.
+        variants=tuple(AppVariant(cls.value if fault == "variant-str-class" else cls, draw(positive), draw(positive))
+                       for cls in classes),
     )
     menu = or_refused(fault, "menu", menus, [(-1.0,), (0.0,), (2.0, 1.0), (1.0, 1.0)])
     return AppEntry(app, draw(or_refused(fault, "weight", positive, [0.0, -1.0])), draw(menu), draw(menu))
@@ -168,7 +170,8 @@ def scenarios(draw):
     # refuses: float or bool site counts, negative fleet counts, capacities, multipliers, weights
     # and menu values of 0 or below, a str class key, negative unit prices, an int
     # flat_server_pricing, a link cost past the float range, a name that is no str or that UTF-8
-    # cannot hold, empty, repeated or unencodable app names or no apps, menus that do not increase.
+    # cannot hold, empty, repeated or unencodable app names or no apps, menus that do not increase,
+    # or a str variant class, which the writer cannot hold at all.
     fault = draw(st.sampled_from(FAULTS)) if draw(st.booleans()) else None
     cloud = draw(st.integers(0, 2))
     carrier = cloud * draw(st.integers(0, 2))
@@ -203,9 +206,14 @@ def test_serialized_scenario_parses_back(scenario):
     # An empty validate_scenario means the text parses back to an equal scenario; the reader does
     # not ask that an app be placeable, so that check is off.  When the first violation is a
     # tier's missing capacity, the reader refuses the text with it at the [topology] line, unless
-    # it has already refused the text for having no [[apps]].
+    # it has already refused the text for having no [[apps]].  A scenario with no text is one
+    # violation that carries the writer's error.
     violations = validate_scenario(scenario, require_placeable=False)
-    text = serialize_scenario(scenario)
+    try:
+        text = serialize_scenario(scenario)
+    except (AttributeError, TypeError) as exc:
+        assert violations == [f"the scenario has no text form: {exc}"]
+        return
     if not violations:
         assert parse_scenario(text) == scenario
     elif scenario.apps and re.fullmatch(r"'\w+_capacity' is missing device class '\w+' used by '\w+_fleet'",
@@ -382,6 +390,17 @@ def test_streams_on_one_topology_match_the_reference_engine(case):
     scenario = dataclasses.replace(paper_scenario(), apps=entries)  # given the topology, only apps are read
     for pattern in PatternKind:
         assert_stream_matches_reference(scenario, pattern, 60, seed, topology)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(seeded_streams())
+def test_long_streams_decide_as_the_loop_without_its_rejection_memo(case):
+    # 2000 requests fill most of a small forest, so most (user edge, app, kind) keys end up rejected
+    # and later requests of them are decided by the memo.
+    spec, entries, pattern, seed = case
+    topology = build_topology(spec)
+    scenario = dataclasses.replace(paper_scenario(), apps=entries)  # given the topology, only apps are read
+    assert_memo_keeps_the_plain_loop(scenario, pattern, 2000, seed, topology)
 
 
 PRESET_TEXTS = [serialize_scenario(paper_scenario()), serialize_scenario(cost_performance_demo_scenario())]

@@ -20,6 +20,7 @@ from edge_placer.solver import Requirement, RequirementKind
 
 # validate_scenario's message for a scenario whose text reads back to another scenario.
 LOST_IN_TEXT = "the scenario does not survive its text form: {} reads back different"
+NO_TEXT_FORM = "the scenario has no text form"
 
 
 class TestPaperScenario:
@@ -503,15 +504,26 @@ class TestValidateScenario:
          LOST_IN_TEXT.format("user")),
         (lambda s: dataclasses.replace(s, user=dataclasses.replace(s.user, fleet={"cpu": 2, DeviceClass.GPU: 1})),
          LOST_IN_TEXT.format("user")),
+        (lambda s: with_first_app(s, app=dataclasses.replace(s.apps[0].app, variants=(AppVariant("gpu", 5.8, 1.0),))),
+         NO_TEXT_FORM),
+        (lambda s: dataclasses.replace(s, user=TierPlan(60, None, s.user.capacity)), NO_TEXT_FORM),
+        (lambda s: dataclasses.replace(s, user_carrier_link=None), NO_TEXT_FORM),
     ], ids=["carrier-multiplier-zero", "user-multiplier-nan", "user-multiplier-huge-int", "mix-weight-zero",
             "mix-weight-negative", "empty-app-name", "duplicate-app-name", "menu-not-increasing", "menu-value-zero",
             "deadline-nan", "no-apps", "unhosted-fleet-negative", "unhosted-capacity-zero", "unit-price-negative",
             "sites-float", "input-nodes-float", "sites-bool", "name-not-str", "flat-pricing-int", "link-bool",
-            "link-cost-huge-int", "name-surrogate", "app-name-surrogate", "fleet-unknown-class", "fleet-str-class"])
+            "link-cost-huge-int", "name-surrogate", "app-name-surrogate", "fleet-unknown-class", "fleet-str-class",
+            "variant-str-class", "fleet-none", "link-none"])
     def test_refuses_what_the_reader_refuses(self, paper, edit, message):
         # Worded as the reader words it, without a line; the reader refuses the serialized text, or, when
         # the text cannot hold a value (a key that is no DeviceClass), reads it back to another scenario.
+        # A field of the wrong type leaves no text to read: the violation carries the writer's error.
         scenario = edit(paper)
+        if message == NO_TEXT_FORM:
+            with pytest.raises((AttributeError, TypeError)) as raised:
+                serialize_scenario(scenario)
+            assert validate_scenario(scenario) == [f"{NO_TEXT_FORM}: {raised.value}"]
+            return
         assert validate_scenario(scenario) == [message]
         if "does not survive its text form" in message:
             assert parse_scenario(serialize_scenario(scenario)) != scenario

@@ -2,6 +2,7 @@ import pytest
 
 from types import SimpleNamespace
 
+from edge_placer import simulator
 from edge_placer.cli import trace_csv_text
 from edge_placer.model import Tier, ValidationError, build_topology
 from edge_placer.simulator import (
@@ -11,7 +12,13 @@ from edge_placer.simulator import (
     run_simulation,
     splitmix64_outputs,
 )
-from edge_placer.solver import Bound, RequirementKind, ResidualState, apply_placement
+from edge_placer.solver import (
+    Bound,
+    RequirementKind,
+    ResidualState,
+    apply_placement,
+    solve_with_escalation,
+)
 from test_solver import TOL, oracle_solve
 
 
@@ -346,6 +353,56 @@ class TestStreamDifferential:
         for pattern in PatternKind:
             rejected = assert_stream_matches_reference(paper, pattern, 900, 42, topology)
             assert rejected > 0, pattern  # rejections are compared too
+
+
+def plain_outcomes(topology, stream):
+    """The batch loop without its rejection memo: every request goes to ``solve_with_escalation``."""
+    state = ResidualState.fresh(topology)
+    outcomes = []
+    for request in stream:
+        outcome = solve_with_escalation(topology, state, request)
+        if outcome.placed:
+            apply_placement(state, outcome.placement)
+        outcomes.append(outcome)
+    return tuple(outcomes), state
+
+
+def assert_memo_keeps_the_plain_loop(scenario, pattern, n, seed, topology):
+    """``run_simulation`` on ``topology`` decides and leaves residuals as ``plain_outcomes`` does; returns its trace."""
+    trace = run_simulation(scenario, pattern, n, seed, topology=topology)
+    outcomes, state = plain_outcomes(topology, generate_requests(scenario, pattern, n, seed, topology=topology))
+    assert trace.outcomes == outcomes
+    assert trace.final_state == state
+    return trace
+
+
+class TestRejectionMemo:
+    @pytest.mark.parametrize("pattern, calls", [
+        (PatternKind.PATTERN1, 1609), (PatternKind.PATTERN2, 1299), (PatternKind.PATTERN3, 1300),
+    ])
+    def test_solver_runs_once_per_placement_and_rejected_key(self, paper, paper_topology, monkeypatch,
+                                                             pattern, calls):
+        # Every placement reaches the solver, and each rejected (user edge, app, kind, loosest bound) at
+        # most once.  Patterns 2 and 3 give an app one ladder, so that is exactly once; a pattern 1
+        # rejection also covers the same key's smaller bounds, which then never reach it.
+        solved = []
+
+        def counted(*args):
+            solved.append(args)
+            return solve_with_escalation(*args)
+
+        monkeypatch.setattr(simulator, "solve_with_escalation", counted)
+        trace = assert_memo_keeps_the_plain_loop(paper, pattern, 10_000, 42, paper_topology)
+        placed = sum(o.placed for o in trace.outcomes)
+        keys = {
+            (r.input_node.attached_user_edge, r.app, r.requirement.kind, r.requirement.bounds[-1])
+            for r in (o.request for o in trace.outcomes if not o.placed)
+        }
+        assert len(solved) == calls
+        if pattern is PatternKind.PATTERN1:
+            assert calls <= placed + len(keys)
+        else:
+            assert calls == placed + len(keys)
 
 
 class TestComputeMetrics:
