@@ -11,9 +11,10 @@ Trace CSV format (one row per request, arrival order)::
 
 ``index`` is the number of placed requests so far (the placement index;
 it repeats on rejected rows).  Floats are printed with 6 decimals.
-Rejected rows have ``rejected=1`` and empty bound/device/response/price
-fields.  Output is byte-deterministic for fixed (scenario, pattern,
-requests, seed).
+Rejected rows have ``rejected=1`` and empty bound/tier/device/response/price
+fields; their ``running_avg_response_s`` repeats the running average so
+far (empty before the first placement).  Output is byte-deterministic
+for fixed (scenario, pattern, requests, seed).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import io
 import math
 import os
 import sys
+from collections import deque
 
 from .model import Tier, ValidationError, build_topology
 from .scenario import (
@@ -38,7 +40,9 @@ from .simulator import (
     Trace,
     generate_requests,
     run_simulation,
+    running_totals,
 )
+from .solver import RequirementKind
 
 CSV_COLUMNS = [
     "index",
@@ -69,8 +73,8 @@ def trace_csv_text(trace: Trace) -> str:
     fields = _CsvFields()
     rows = [",".join(CSV_COLUMNS) + "\n"]
     append = rows.append
+    totals = running_totals(trace.outcomes)
     placed = 0
-    response_sum = 0.0
     average = ""  # the running average, formatted once per placement
     for outcome in trace.outcomes:
         request = outcome.request
@@ -78,9 +82,8 @@ def trace_csv_text(trace: Trace) -> str:
         if p is None:
             append(f"{placed},{request.id},{fields[request.app.name]},,,,,,,{average},1\n")
             continue
-        placed += 1
-        response_sum += p.response_time
-        average = f"{response_sum / placed:.6f}"
+        placed, mean, _, _ = next(totals)
+        average = f"{mean:.6f}"
         bound = p.granted_bound
         append(
             f"{placed},{request.id},{fields[request.app.name]},{bound.kind._value_},{bound.value:.6f},"
@@ -95,22 +98,13 @@ def _summary_table(results: list[tuple[PatternKind, Trace]]) -> str:
         "|--:|--:|--:|--:|--:|--:|--:|--:|--:|",
     ]
     for pattern, trace in results:
-        # compute_metrics(trace).points[-1], without a point per placement.
-        placed = 0
-        response_sum = price_sum = 0.0
-        tiers = []
-        for outcome in trace.outcomes:
-            p = outcome.placement
-            if p is not None:
-                placed += 1
-                response_sum += p.response_time
-                price_sum += p.price
-                tiers.append(p.tier)
-        avg = f"{response_sum / placed:.6f}" if placed else "-"
+        last = deque(running_totals(trace.outcomes), maxlen=1)  # the totals after the last placement
+        placed, average, price_sum, tiers = last[0] if last else (0, 0.0, 0.0, dict.fromkeys(Tier, 0))
+        avg = f"{average:.6f}" if placed else "-"
         lines.append(
             f"| {pattern.value} | {len(trace.outcomes)} | {placed} "
             f"| {len(trace.outcomes) - placed} | {avg} | {price_sum:.2f} "
-            f"| {tiers.count(Tier.USER_EDGE)} | {tiers.count(Tier.CARRIER_EDGE)} | {tiers.count(Tier.CLOUD)} |"
+            f"| {tiers[Tier.USER_EDGE]} | {tiers[Tier.CARRIER_EDGE]} | {tiers[Tier.CLOUD]} |"
         )
     return "\n".join(lines)
 
@@ -215,6 +209,7 @@ def cmd_validate(args) -> int:
 
 
 _TIER_VALUES = {tier.value for tier in Tier}
+_KIND_VALUES = {kind.value for kind in RequirementKind}
 
 
 def _read_trace(path: str) -> tuple[int, list[list]]:
@@ -225,6 +220,7 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
     """
     row = 1
     placed = []
+    shown = ""  # the running average as the last placed row wrote it
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -233,7 +229,7 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
             for row, fields in enumerate(reader, start=2):
                 if len(fields) != len(CSV_COLUMNS):
                     raise ScenarioError(f"{path}: row {row} has {len(fields)} fields")
-                index, request_id, _, _, _, tier, _, response, price, average, rejected = fields
+                index, request_id, _, kind, bound, tier, device, response, price, average, rejected = fields
                 if rejected not in ("0", "1"):
                     raise ScenarioError(f"{path}: row {row} has rejected {rejected!r}, not 0 or 1")
                 count = len(placed) + (rejected == "0")  # placements up to and including this row
@@ -242,16 +238,28 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
                 if request_id != str(row - 1):
                     raise ScenarioError(f"{path}: row {row} has request_id {request_id!r}, not {row - 1}")
                 if rejected == "1":
+                    if kind or bound or tier or device or response or price:
+                        column, value = next((c, v) for c, v in zip(CSV_COLUMNS[3:9], fields[3:9]) if v)
+                        raise ScenarioError(f"{path}: row {row} is rejected but has {column} {value!r}")
+                    if average != shown:
+                        raise ScenarioError(
+                            f"{path}: row {row} has running_avg_response_s {average!r}, not {shown!r}"
+                        )
                     continue
                 try:
-                    numbers = float(response), float(price), float(average)
+                    numbers = float(response), float(price), float(average), float(bound)
                 except ValueError:
                     raise ScenarioError(f"{path}: row {row} has non-numeric fields") from None
                 if not all(map(math.isfinite, numbers)):
                     raise ScenarioError(f"{path}: row {row} has non-finite numbers")
                 if tier not in _TIER_VALUES:
                     raise ScenarioError(f"{path}: row {row} has unknown tier {tier!r}")
+                if kind not in _KIND_VALUES:
+                    raise ScenarioError(f"{path}: row {row} has unknown granted_bound_kind {kind!r}")
+                if not device:
+                    raise ScenarioError(f"{path}: row {row} has an empty device_id")
                 placed.append([numbers[0], numbers[2], tier])
+                shown = average
     except (OSError, UnicodeDecodeError) as exc:
         _read_text(path, path)  # raises the read failure, or names the line of the first byte that is not UTF-8
         raise ScenarioError(f"cannot read {path}: {exc}") from None

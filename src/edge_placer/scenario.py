@@ -93,13 +93,14 @@ class Scenario:
     apps: tuple[AppEntry, ...]
 
     def tier_plan(self, tier: Tier) -> TierPlan:
-        return {Tier.CLOUD: self.cloud, Tier.CARRIER_EDGE: self.carrier, Tier.USER_EDGE: self.user}[tier]
+        return getattr(self, tier.value)  # the field named by the tier, as in the file's `<tier>_fleet` keys
 
     def device_full_cost(self, tier: Tier, device_class: DeviceClass) -> float:
         """Monthly cost of one whole device of that class at that tier."""
         plan = self.cloud if self.flat_server_pricing else self.tier_plan(tier)
-        multipliers = {Tier.CARRIER_EDGE: self.carrier_multiplier, Tier.USER_EDGE: self.user_multiplier}
-        return self.unit_price[device_class] * plan.capacity[device_class] * multipliers.get(tier, 1.0)
+        multiplier = (self.carrier_multiplier if tier is Tier.CARRIER_EDGE
+                      else self.user_multiplier if tier is Tier.USER_EDGE else 1.0)
+        return self.unit_price[device_class] * plan.capacity[device_class] * multiplier
 
     def topology_spec(self) -> TopologySpec:
         def tier_spec(tier: Tier) -> TierSpec:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .model import Tier, Topology, ValidationError, build_topology
 from .scenario import Scenario, scenario_hash
@@ -201,31 +201,33 @@ def run_simulation(
     )
 
 
+def running_totals(outcomes: Iterable[RequestOutcome]) -> Iterator[tuple[int, float, float, dict[Tier, int]]]:
+    """Per placed outcome, in order: (placements, average response, price sum, placements per tier).
+
+    The one place that totals a trace: ``compute_metrics``, the trace CSV
+    and the run summary all read these yields (``cli.cmd_report`` recomputes
+    the average from a trace file on purpose, as a check of the file).  The
+    tier counts are one dict, updated in place; copy it to keep a snapshot.
+    """
+    placed = 0
+    response_sum = price_sum = 0.0
+    tier_counts = {Tier.USER_EDGE: 0, Tier.CARRIER_EDGE: 0, Tier.CLOUD: 0}
+    for outcome in outcomes:
+        p = outcome.placement
+        if p is None:
+            continue
+        placed += 1
+        response_sum += p.response_time
+        average = response_sum / placed
+        price_sum += p.price
+        tier_counts[p.tier] += 1
+        yield placed, average, price_sum, tier_counts
+
+
 def compute_metrics(trace: Trace) -> MetricsSeries:
     """Running average response over placed requests, tier counts, rejections."""
-    points = []
-    placed = 0
-    response_sum = 0.0
-    price_sum = 0.0
-    tier_counts = {Tier.USER_EDGE: 0, Tier.CARRIER_EDGE: 0, Tier.CLOUD: 0}
-    for outcome in trace.outcomes:
-        if not outcome.placed:
-            continue
-        placement = outcome.placement
-        placed += 1
-        response_sum += placement.response_time
-        price_sum += placement.price
-        tier_counts[placement.tier] += 1
-        points.append(
-            MetricsPoint(
-                placements=placed,
-                running_avg_response=response_sum / placed,
-                tier_counts=dict(tier_counts),
-                cumulative_price=price_sum,
-            )
-        )
-    return MetricsSeries(
-        points=tuple(points),
-        total_requests=len(trace.outcomes),
-        total_rejections=len(trace.outcomes) - placed,
+    points = tuple(
+        MetricsPoint(placed, average, dict(tier_counts), price_sum)
+        for placed, average, price_sum, tier_counts in running_totals(trace.outcomes)
     )
+    return MetricsSeries(points, len(trace.outcomes), len(trace.outcomes) - len(points))

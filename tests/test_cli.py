@@ -87,6 +87,15 @@ class TestRun:
         assert read(tmp_path / "trace_1.csv") == ",".join(CSV_COLUMNS) + "\n"
         assert read(tmp_path / "summary.md").endswith("\n| 1 | 0 | 0 | 0 | - | 0.00 | 0 | 0 | 0 |\n")
 
+    def test_all_rejected_run(self, tmp_path):
+        # Rows but no placement: the running average is empty on every row and "-" in the summary.
+        scenario = edited_paper(tmp_path, PAPER_PRICE_MENUS, UNAFFORDABLE_PRICE_MENUS)
+        assert main(["run", "--scenario", scenario, "--pattern", "2", "--requests", "50", "--out", str(tmp_path)]) == 0
+        assert read(tmp_path / "summary.md").endswith("\n| 2 | 50 | 0 | 50 | - | 0.00 | 0 | 0 | 0 |\n")
+        rows = list(csv.DictReader(io.StringIO(read(tmp_path / "trace_2.csv"))))
+        assert len(rows) == 50
+        assert all(row["rejected"] == "1" and row["running_avg_response_s"] == "" for row in rows)
+
     def test_summary_rows_agree_with_compute_metrics(self, tmp_path, paper_runs):
         code = main(["run", "--paper", "--pattern", "all", "--requests", "1000", "--seed", "42",
                      "--out", str(tmp_path)])
@@ -475,6 +484,10 @@ class TestReport:
         ("tier", "moon", "unknown tier 'moon'"),
         ("response_time_s", "nan", "non-finite"),
         ("price_yen", "inf", "non-finite"),
+        ("granted_bound_kind", "nonsense", "unknown granted_bound_kind 'nonsense'"),
+        ("granted_bound_value", "abc", "non-numeric"),
+        ("granted_bound_value", "inf", "non-finite"),
+        ("device_id", "", "empty device_id"),
     ])
     def test_bad_row_exit_2(self, tmp_path, capsys, column, value, message):
         main(["run", "--paper", "--pattern", "2", "--requests", "30", "--seed", "4", "--out", str(tmp_path)])
@@ -555,19 +568,32 @@ class TestUnreadableInput:
         ("app", "NAS\udcffFT", "line {line}: cannot read {path}: byte 0xff is not UTF-8"),
         ("request_id", "9" * 200_000, "{path}: line {line} cannot be read: field larger than field limit"),
         ("rejected", "2", "{path}: row {line} has rejected '2', not 0 or 1"),
-    ], ids=["non-utf8-byte", "oversized-field", "rejected-not-0-or-1"])
-    def test_bad_trace_exit_2(self, tmp_path, capsys, column, value, message):
-        main(["run", "--paper", "--pattern", "2", "--requests", "30", "--seed", "4", "--out", str(tmp_path)])
-        path = tmp_path / "trace_2.csv"
-        lines = read(path).splitlines()
-        fields = lines[7].split(",")
+        ("granted_bound_kind", "cost_cap", "{path}: row {line} is rejected but has granted_bound_kind 'cost_cap'"),
+        ("granted_bound_value", "abc", "{path}: row {line} is rejected but has granted_bound_value 'abc'"),
+        ("tier", "cloud", "{path}: row {line} is rejected but has tier 'cloud'"),
+        ("device_id", "cloud000_gpu00", "{path}: row {line} is rejected but has device_id 'cloud000_gpu00'"),
+        ("response_time_s", "7.400000", "{path}: row {line} is rejected but has response_time_s '7.400000'"),
+        ("price_yen", "6743.333333", "{path}: row {line} is rejected but has price_yen '6743.333333'"),
+        ("running_avg_response_s", "", "{path}: row {line} has running_avg_response_s '', not '{average}'"),
+        ("running_avg_response_s", "abc", "{path}: row {line} has running_avg_response_s 'abc', not '{average}'"),
+    ], ids=["non-utf8-byte", "oversized-field", "rejected-not-0-or-1", "rejected-with-bound-kind",
+            "rejected-with-bound-value", "rejected-with-tier", "rejected-with-device", "rejected-with-response",
+            "rejected-with-price", "rejected-average-empty", "rejected-average-not-the-last"])
+    def test_bad_trace_exit_2(self, tmp_path, capsys, paper_runs, column, value, message):
+        # The first rejected row, after placed ones: a rejected row repeats the last placed row's average.
+        trace = paper_runs.trace(PatternKind.PATTERN1, 4, 470)  # rejections start at arrival 463
+        row = 2 + next(i for i, o in enumerate(trace.outcomes) if o.placement is None)
+        lines = trace_csv_text(trace).splitlines()
+        fields = lines[row - 1].split(",")
+        average = fields[CSV_COLUMNS.index("running_avg_response_s")]
         fields[CSV_COLUMNS.index(column)] = value
-        lines[7] = ",".join(fields)
+        lines[row - 1] = ",".join(fields)
+        path = tmp_path / "trace.csv"
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         capsys.readouterr()
         assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
-        assert message.format(path=path, line=8) in err and "Traceback" not in err
+        assert message.format(path=path, line=row, average=average) in err and "Traceback" not in err
 
 
 def tampered_trace(tmp_path, trace, row, column, value):

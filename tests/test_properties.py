@@ -141,10 +141,12 @@ def or_refused(fault, kind, values, refused):
 
 @st.composite
 def tier_plans(draw, sites, fault):
-    # Drawn apart, so a fleet may count a class its capacities lack.
+    # Drawn apart, so a faulty scenario's fleet may count a class its capacities lack; a sound one's may not.
     classes = or_refused(fault, "class-key", st.sampled_from(list(DeviceClass)), ["cpu", "tpu"])
     fleet = draw(st.dictionaries(classes, or_refused(fault, "fleet", st.integers(0, 4), [-1]), max_size=3))
     capacity = draw(st.dictionaries(classes, or_refused(fault, "capacity", positive, [0.0, -1.0]), max_size=3))
+    if fault is None:
+        capacity |= {cls: draw(positive) for cls in fleet if cls not in capacity}
     sites = draw(or_refused(fault, "sites", st.just(sites), [float(sites), bool(sites)]))
     return TierPlan(sites=sites, fleet=fleet, capacity=capacity)
 
@@ -161,7 +163,10 @@ def app_entries(draw, name, fault):
                        for cls in classes),
     )
     menu = or_refused(fault, "menu", menus, [(-1.0,), (0.0,), (2.0, 1.0), (1.0, 1.0)])
-    return AppEntry(app, draw(or_refused(fault, "weight", positive, [0.0, -1.0])), draw(menu), draw(menu))
+    price_menu = draw(menu)
+    # A sound app has a menu to draw requests from.
+    deadline_menu = draw(menus.filter(bool) if fault is None and not price_menu else menu)
+    return AppEntry(app, draw(or_refused(fault, "weight", positive, [0.0, -1.0])), price_menu, deadline_menu)
 
 
 @st.composite
