@@ -208,8 +208,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-_TIER_VALUES = {tier.value for tier in Tier}
+# build_topology names every device <tier><site>_<class><n>: per tier value, the prefixes its device ids start with.
+_DEVICE_PREFIXES = {tier.value: tuple(f"{tier.value}{digit}" for digit in range(10)) for tier in Tier}
 _KIND_VALUES = {kind.value for kind in RequirementKind}
+_NON_NEGATIVE = ("response_time_s", "price_yen", "granted_bound_value")  # placed-row numbers that are never negative
 
 
 def _read_trace(path: str) -> tuple[int, list[list]]:
@@ -229,7 +231,7 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
             for row, fields in enumerate(reader, start=2):
                 if len(fields) != len(CSV_COLUMNS):
                     raise ScenarioError(f"{path}: row {row} has {len(fields)} fields")
-                index, request_id, _, kind, bound, tier, device, response, price, average, rejected = fields
+                index, request_id, app, kind, bound, tier, device, response, price, average, rejected = fields
                 if rejected not in ("0", "1"):
                     raise ScenarioError(f"{path}: row {row} has rejected {rejected!r}, not 0 or 1")
                 count = len(placed) + (rejected == "0")  # placements up to and including this row
@@ -237,6 +239,8 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
                     raise ScenarioError(f"{path}: row {row} has index {index!r}, not {count}")
                 if request_id != str(row - 1):
                     raise ScenarioError(f"{path}: row {row} has request_id {request_id!r}, not {row - 1}")
+                if not app:
+                    raise ScenarioError(f"{path}: row {row} has an empty app")
                 if rejected == "1":
                     if kind or bound or tier or device or response or price:
                         column, value = next((c, v) for c, v in zip(CSV_COLUMNS[3:9], fields[3:9]) if v)
@@ -247,18 +251,24 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
                         )
                     continue
                 try:
-                    numbers = float(response), float(price), float(average), float(bound)
+                    numbers = float(response), float(price), float(bound), float(average)
                 except ValueError:
                     raise ScenarioError(f"{path}: row {row} has non-numeric fields") from None
                 if not all(map(math.isfinite, numbers)):
                     raise ScenarioError(f"{path}: row {row} has non-finite numbers")
-                if tier not in _TIER_VALUES:
+                if min(numbers[:3]) < 0:
+                    signed = zip(_NON_NEGATIVE, (response, price, bound), numbers)
+                    column, value = next((c, v) for c, v, n in signed if n < 0)
+                    raise ScenarioError(f"{path}: row {row} has negative {column} {value!r}")
+                if tier not in _DEVICE_PREFIXES:
                     raise ScenarioError(f"{path}: row {row} has unknown tier {tier!r}")
                 if kind not in _KIND_VALUES:
                     raise ScenarioError(f"{path}: row {row} has unknown granted_bound_kind {kind!r}")
                 if not device:
                     raise ScenarioError(f"{path}: row {row} has an empty device_id")
-                placed.append([numbers[0], numbers[2], tier])
+                if not device.startswith(_DEVICE_PREFIXES[tier]):
+                    raise ScenarioError(f"{path}: row {row} has device_id {device!r}, not a {tier} device")
+                placed.append([numbers[0], numbers[3], tier])
                 shown = average
     except (OSError, UnicodeDecodeError) as exc:
         _read_text(path, path)  # raises the read failure, or names the line of the first byte that is not UTF-8

@@ -12,14 +12,15 @@ otherwise, so an external ILP solver can cross-validate placements.
 Variables and coefficients come from the solver's cached per-topology
 candidate table (``solver.CandidateTable``), so the exporter and the
 solver enumerate the same pairs with the same response times and prices.
-Like the solver's sorted views, the model lists only the pairs whose
-response time and price are finite (``CandidateTable.finite``); the
-solver never places the others.
+The model lists the entries of the bound kind's sorted view
+(``CandidateTable[kind]``), so only the pairs whose response time and
+price are finite; the solver never places the others.
 
 Everything but the model name and the right-hand sides is state-free, so
 it is built once per candidate table, lazily, and cached on it with its
 LP text rendered (``CandidateTable.lp_skeleton``); both bound kinds share
-it.  Each ``build_ilp`` call fills in the name, the bound value and the
+it, taking their objective and bound terms by ``solver.KIND_METRICS``.
+Each ``build_ilp`` call fills in the name, the bound value and the
 residuals, and ``to_lp_text`` formats only those numbers plus one
 coefficient per device row.  The skeleton also keeps the last model's
 residual rows, reused while their residual is the same float object, so
@@ -32,7 +33,7 @@ import sys
 from typing import NamedTuple
 
 from .model import Topology
-from .solver import Bound, CandidateTable, PlacementRequest, RequirementKind, ResidualState, _table
+from .solver import KIND_METRICS, Bound, PlacementRequest, ResidualState, TableEntry, _table
 
 Term = tuple[str, float]  # variable name, coefficient
 
@@ -73,8 +74,7 @@ def _rendered(items, render) -> _Rendered:
 class _Skeleton(NamedTuple):
     """The state-free part of every model of one candidate table, and the last model's residual rows."""
 
-    response_time: _Rendered  # objective terms under a cost cap, bound terms under a deadline
-    price: _Rendered  # the other way round
+    terms: dict  # entry metric -> its (variable, coefficient) terms: a kind's objective or bound row
     assign: LpRow
     device_ids: tuple[str, ...]  # the residuals of the device rows,
     link_ids: tuple[str, ...]  # then of the link rows
@@ -87,9 +87,9 @@ def variable_name(device_id: str, variant_class) -> str:
     return sys.intern(f"x_{device_id}_{variant_class.value}")
 
 
-def _skeleton(table: CandidateTable, bandwidth_demand: float) -> _Skeleton:
+def _skeleton(finite: list[TableEntry], bandwidth_demand: float) -> _Skeleton:
     """Variables ordered by device id then variant class, so identical inputs give identical models."""
-    entries = sorted(table.finite(), key=lambda e: (e.device.id, e.variant.device_class.value))
+    entries = sorted(finite, key=lambda e: (e.device.id, e.variant.device_class.value))
     names = [variable_name(e.device.id, e.variant.device_class) for e in entries]
     link_terms: dict[str, list[Term]] = {}
     for var, entry in zip(names, entries):
@@ -98,8 +98,8 @@ def _skeleton(table: CandidateTable, bandwidth_demand: float) -> _Skeleton:
             link_terms.setdefault(link.id, []).append(term)
     link_ids = sorted(link_terms)
     return _Skeleton(
-        response_time=_rendered(zip(names, (e.response_time for e in entries)), _terms),
-        price=_rendered(zip(names, (e.price for e in entries)), _terms),
+        terms={metric: _rendered(zip(names, map(metric, entries)), _terms)
+               for metric in {metric for pair in KIND_METRICS.values() for metric in pair}},
         assign=LpRow("assign", _rendered(((var, 1.0) for var in names), _terms), "=", 1.0),
         device_ids=tuple(e.device.id for e in entries),
         link_ids=tuple(link_ids),
@@ -122,11 +122,8 @@ def build_ilp(
     table = _table(topology, request.input_node, request.app)
     skeleton = table.lp_skeleton
     if skeleton is None:
-        skeleton = table.lp_skeleton = _skeleton(table, request.app.bandwidth_demand)
-    if bound.kind is RequirementKind.COST_CAP:
-        objective, bound_terms = skeleton.response_time, skeleton.price
-    else:
-        objective, bound_terms = skeleton.price, skeleton.response_time
+        skeleton = table.lp_skeleton = _skeleton(table[bound.kind][1], request.app.bandwidth_demand)
+    bounded, minimized = KIND_METRICS[bound.kind]
     device_remaining = state.device_remaining
     link_remaining = state.link_remaining
     residuals = [device_remaining[device_id] for device_id in skeleton.device_ids]
@@ -135,8 +132,8 @@ def build_ilp(
     rows = [row if row.rhs is rhs else LpRow(row.name, row.terms, "<=", rhs)
             for row, rhs in zip(skeleton.residual_rows, residuals)]
     skeleton.residual_rows[:] = rows
-    rows = (skeleton.assign, LpRow("bound", bound_terms, "<=", bound.value), *rows)
-    return IlpModel(f"request{request.id}_{bound.kind.value}", objective, rows, skeleton.binaries)
+    rows = (skeleton.assign, LpRow("bound", skeleton.terms[bounded], "<=", bound.value), *rows)
+    return IlpModel(f"request{request.id}_{bound.kind.value}", skeleton.terms[minimized], rows, skeleton.binaries)
 
 
 def _terms(terms: tuple[Term, ...]) -> str:

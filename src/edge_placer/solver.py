@@ -3,21 +3,22 @@
 Each request places exactly one application on one device, which fixes
 the used links, so the 0-1 program is solved exactly by enumerating
 every (device on the input's root path, matching variant) pair.  A
-cost-capped request minimizes response time; a deadline request
-minimizes price.  Requirements carry a ladder of bounds: the tightest
-bound that admits any candidate wins, and a request whose whole ladder
-fails is rejected (it consumes nothing).
+cost cap bounds price and minimizes response time; a deadline bounds
+response time and minimizes price: ``KIND_METRICS`` states this once,
+for the views, the selection, the granted rung and the LP model.
+Requirements carry a ladder of bounds: the tightest bound that admits
+any candidate wins, and a whole ladder that fails is a rejection.
 
 A candidate's response time and price depend only on (user edge, app,
 device), so each (user edge, app) candidate table is built once per
-topology and cached on it (``Topology.candidate_tables``).  Per bound
-kind the table also keeps its entries sorted by that kind's bound
-metric.  A request's whole ladder is then one walk up that view
-(``solve_with_escalation`` hands the ladder to ``solve_request``, which
-scans once through ``feasible_candidates``): the first entry that fits
-the residuals fixes the tightest admitting bound, and the walk stops
-where the metric passes it.  A race between threads sharing a topology
-only recomputes an identical table or view.
+topology and cached on it (``Topology.candidate_tables``).  The table
+maps each bound kind to its entries sorted by the kind's bound metric,
+a view built on first use of the kind.  A request's whole ladder is
+then one walk up that view (``solve_with_escalation`` hands the ladder
+to ``solve_request``, which scans once through ``feasible_candidates``):
+the first entry that fits the residuals fixes the tightest admitting
+bound, and the walk stops where the metric passes it.  A race between
+threads sharing a topology only recomputes an identical table or view.
 
 Residual state is mutated strictly sequentially within one run; distinct
 runs own distinct states.
@@ -30,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .model import (
     DeviceClass,
@@ -55,8 +56,8 @@ from .pricing import (
 
 class RequirementKind(Enum):
     __hash__ = object.__hash__  # as model.Tier's
-    COST_CAP = "cost_cap"  # bound on monthly price; objective: response time
-    DEADLINE = "deadline"  # bound on response time; objective: price
+    COST_CAP = "cost_cap"
+    DEADLINE = "deadline"
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,50 +164,39 @@ class TableEntry(NamedTuple):
 _RESPONSE_TIME = attrgetter("response_time")
 _PRICE = attrgetter("price")
 
+# Per kind: (the entry field that its bounds cap, the field that its placement minimizes).
+KIND_METRICS = {
+    RequirementKind.COST_CAP: (_PRICE, _RESPONSE_TIME),
+    RequirementKind.DEADLINE: (_RESPONSE_TIME, _PRICE),
+}
 
-def _bound_metric(kind: RequirementKind, entry: TableEntry) -> float:
-    """The entry field that a bound of this kind caps."""
-    return entry.price if kind is RequirementKind.COST_CAP else entry.response_time
 
-
-class CandidateTable:
-    """The nearest-first entries of one (user edge, app) pair, plus one sorted view per bound kind.
+class CandidateTable(dict):
+    """The nearest-first entries of one (user edge, app) pair, mapping each bound kind to its sorted view.
 
     A view lists the entries in ascending order of the kind's bound metric
-    (ties keep nearest-first order) next to those metric values, so that a
-    bound admits a prefix that ``bisect`` finds.  Views are built on first
-    use of their kind.  Entries whose response time or price is not finite
-    (a transfer term that overflows) are left out of them: such a candidate
-    passes no bound or cannot be ranked, so it is never placed.  The LP
-    exporter keeps the state-free part of the table's models in
-    ``lp_skeleton``, built from the same finite entries on first export.
+    (``KIND_METRICS``; ties keep nearest-first order) next to those metric
+    values, so that a bound admits a prefix that ``bisect`` finds.  A view
+    is built on first use of its kind (``table[kind]``).  Entries whose
+    response time or price is not finite (a transfer term that overflows)
+    are left out of the views: such a candidate passes no bound or cannot
+    be ranked, so it is never placed.  The LP exporter keeps the state-free
+    part of the table's models in ``lp_skeleton``, built from a view's
+    entries on first export.
     """
 
-    __slots__ = ("entries", "by_price", "by_response_time", "lp_skeleton")
+    __slots__ = ("entries", "lp_skeleton")
 
     def __init__(self, entries: tuple[TableEntry, ...]):
         self.entries = entries
-        self.by_price: tuple[list[float], list[TableEntry]] | None = None
-        self.by_response_time: tuple[list[float], list[TableEntry]] | None = None
         self.lp_skeleton = None
 
-    def finite(self) -> Iterator[TableEntry]:
-        """The entries whose response time and price are both finite, nearest first."""
-        return (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
-
-    def _sorted(self, metric) -> tuple[list[float], list[TableEntry]]:
-        ordered = sorted(self.finite(), key=metric)
-        return [metric(e) for e in ordered], ordered
-
-    def view(self, kind: RequirementKind) -> tuple[list[float], list[TableEntry]]:
-        # Two attributes, not a dict keyed by kind: one identity test picks the view.
-        if kind is RequirementKind.COST_CAP:
-            if self.by_price is None:
-                self.by_price = self._sorted(_PRICE)
-            return self.by_price
-        if self.by_response_time is None:
-            self.by_response_time = self._sorted(_RESPONSE_TIME)
-        return self.by_response_time
+    def __missing__(self, kind: RequirementKind) -> tuple[list[float], list[TableEntry]]:
+        metric = KIND_METRICS[kind][0]
+        finite = (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
+        ordered = sorted(finite, key=metric)
+        view = self[kind] = [metric(e) for e in ordered], ordered
+        return view
 
 
 def _table(topology: Topology, input_node: InputNode, app: AppType) -> CandidateTable:
@@ -271,7 +261,7 @@ def feasible_candidates(
     passes that bound.  Listed in ascending order of the bound metric;
     empty when nothing fits at any bound.
     """
-    metrics, ordered = _table(topology, request.input_node, request.app).view(bound.kind)
+    metrics, ordered = _table(topology, request.input_node, request.app)[bound.kind]
     device_remaining = state.device_remaining
     link_remaining = state.link_remaining
     bandwidth = request.app.bandwidth_demand
@@ -292,19 +282,15 @@ def feasible_candidates(
     return admitted
 
 
-def _select(entries: list[TableEntry], kind: RequirementKind) -> TableEntry:
+def _select(entries: list[TableEntry], primary, secondary) -> TableEntry:
     """Deterministic argmin over admitted entries.
 
-    Primary metric per bound kind, ties within TOLERANCE broken by the
-    secondary metric, then by tier closest to the user, then by smallest
-    device id.  Along one root path, a shorter path is a closer tier.
+    Least ``primary`` metric, ties within TOLERANCE broken by ``secondary``,
+    then by tier closest to the user, then by smallest device id.  Along
+    one root path, a shorter path is a closer tier.
     """
     if len(entries) == 1:
         return entries[0]
-    if kind is RequirementKind.COST_CAP:
-        primary, secondary = _RESPONSE_TIME, _PRICE
-    else:
-        primary, secondary = _PRICE, _RESPONSE_TIME
     cut = min(map(primary, entries)) + TOLERANCE
     entries = [e for e in entries if primary(e) <= cut]
     if len(entries) > 1:
@@ -329,8 +315,9 @@ def solve_request(
     entries = feasible_candidates(topology, state, request, bound)
     if not entries:
         return None
-    granted = _granted(bound.rungs, _bound_metric(bound.kind, entries[0]))
-    _, device, variant, _, r, p, link_ids = _select(entries, bound.kind)
+    bounded, minimized = KIND_METRICS[bound.kind]
+    granted = _granted(bound.rungs, bounded(entries[0]))
+    _, device, variant, _, r, p, link_ids = _select(entries, minimized, bounded)
     return Placement(
         request.id, device.id, device.tier, variant.device_class, link_ids,
         r, p, granted, variant.resource_demand, request.app.bandwidth_demand,

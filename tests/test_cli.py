@@ -488,6 +488,13 @@ class TestReport:
         ("granted_bound_value", "abc", "non-numeric"),
         ("granted_bound_value", "inf", "non-finite"),
         ("device_id", "", "empty device_id"),
+        ("app", "", "empty app"),
+        ("response_time_s", "-7.400000", "negative response_time_s '-7.400000'"),
+        ("price_yen", "-6743.333333", "negative price_yen '-6743.333333'"),
+        ("granted_bound_value", "-7000.000000", "negative granted_bound_value '-7000.000000'"),
+        ("tier", "user", "device_id 'cloud000_gpu00', not a user device"),
+        ("device_id", "cloudy000_gpu00", "device_id 'cloudy000_gpu00', not a cloud device"),
+        ("device_id", "carrier000_gpu00", "device_id 'carrier000_gpu00', not a cloud device"),
     ])
     def test_bad_row_exit_2(self, tmp_path, capsys, column, value, message):
         main(["run", "--paper", "--pattern", "2", "--requests", "30", "--seed", "4", "--out", str(tmp_path)])

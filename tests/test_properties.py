@@ -24,6 +24,7 @@ from edge_placer.model import (  # noqa: E402
     TopologySpec,
     ValidationError,
     build_topology,
+    root_path_sites,
     topology_spec_errors,
 )
 from edge_placer.pricing import TOLERANCE, AppType, AppVariant  # noqa: E402
@@ -38,7 +39,7 @@ from edge_placer.scenario import (  # noqa: E402
     serialize_scenario,
     validate_scenario,
 )
-from edge_placer.simulator import PatternKind, generate_requests  # noqa: E402
+from edge_placer.simulator import PatternKind, generate_requests, run_simulation  # noqa: E402
 from edge_placer.solver import (  # noqa: E402
     Bound,
     PlacementRequest,
@@ -406,6 +407,26 @@ def test_long_streams_decide_as_the_loop_without_its_rejection_memo(case):
     topology = build_topology(spec)
     scenario = dataclasses.replace(paper_scenario(), apps=entries)  # given the topology, only apps are read
     assert_memo_keeps_the_plain_loop(scenario, pattern, 2000, seed, topology)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(seeded_streams())
+def test_subtrees_decide_alone_as_in_the_whole_stream(case):
+    # Requests under different cloud sites share no device or link, so the part of a stream under each
+    # root, decided alone on a fresh state and without the rejection memo, decides as the whole run does.
+    spec, entries, pattern, seed = case
+    topology = build_topology(spec)
+    scenario = dataclasses.replace(paper_scenario(), apps=entries)  # given the topology, only apps are read
+    parts = {}
+    for outcome in run_simulation(scenario, pattern, 2000, seed, topology=topology).outcomes:
+        parts.setdefault(root_path_sites(topology, outcome.request.input_node.id)[-1], []).append(outcome)
+    for outcomes in parts.values():
+        state = ResidualState.fresh(topology)
+        for outcome in outcomes:
+            alone = solve_with_escalation(topology, state, outcome.request)
+            if alone.placement is not None:
+                apply_placement(state, alone.placement)
+            assert alone == outcome
 
 
 PRESET_TEXTS = [serialize_scenario(paper_scenario()), serialize_scenario(cost_performance_demo_scenario())]

@@ -22,7 +22,7 @@ from edge_placer.model import (
 )
 from edge_placer.lp_export import build_ilp, variable_name
 from edge_placer.pricing import TOLERANCE, AppType, AppVariant, price, response_time
-from edge_placer.simulator import MetricsPoint, PatternKind, generate_requests
+from edge_placer.simulator import MetricsPoint, PatternKind, generate_requests, run_simulation
 from edge_placer.solver import (
     Bound,
     CandidateTable,
@@ -505,6 +505,14 @@ class TestCandidateTable:
         assert solve_request(topology, state, probe_request(slow, node, tight), tight) is None
         assert {app for _, app in topology.candidate_tables} == {fast, slow}
 
+    def test_views_are_built_only_for_the_kinds_used(self, paper):
+        # Pattern 2 gives every request a cost-cap ladder, so no table sorts its entries for deadlines.
+        topology = build_topology(paper.topology_spec())
+        run_simulation(paper, PatternKind.PATTERN2, 1000, 42, topology=topology)
+        assert len(topology.candidate_tables) > 100
+        for table in topology.candidate_tables.values():
+            assert list(table) == [RequirementKind.COST_CAP]
+
     def test_random_same_name_apps_on_shared_topology(self):
         rng = random.Random(515)
         topology = build_topology(SHARED_SPEC)
@@ -718,7 +726,7 @@ class TestLadderOracle:
             key = (request.input_node.attached_user_edge, request.app)
             table = candidate_table(topology, request.input_node, request.app)
             for kind in RequirementKind:
-                metrics, ordered = topology.candidate_tables[key].view(kind)
+                metrics, ordered = topology.candidate_tables[key][kind]
                 assert sorted(ordered, key=id) == sorted(table, key=id)
                 assert metrics == [bound_metric(kind, e) for e in ordered] == sorted(metrics)
 
