@@ -20,11 +20,13 @@ Everything but the model name and the right-hand sides is state-free, so
 it is built once per candidate table, lazily, and cached on it with its
 LP text rendered (``CandidateTable.lp_skeleton``); both bound kinds share
 it, taking their objective and bound terms by ``solver.KIND_METRICS``.
-Each ``build_ilp`` call fills in the name, the bound value and the
-residuals, and ``to_lp_text`` formats only those numbers plus one
-coefficient per device row.  The skeleton also keeps the last model's
-residual rows, reused while their residual is the same float object, so
-the models of one request's ladder build each residual row once.
+The skeleton also keeps the last model's residual rows, each paired with
+its rendered line, and reuses a row and its line while the row's residual
+is the same float object: a residual row's line is formatted only when its
+residual changes.  Each ``build_ilp`` call fills in the name, the bound
+value and the residuals, and joins the text of the model's ``Subject To``
+block from those lines, so ``to_lp_text`` formats only the header and the
+model name, and the text of a model is that of the state it was built on.
 """
 
 from __future__ import annotations
@@ -53,12 +55,14 @@ class IlpModel(NamedTuple):
 
 
 class _Rendered(tuple):
-    """A static tuple of a skeleton that carries its LP text, rendered once.
+    """A tuple of a model that carries its LP text, rendered once.
 
-    It compares and hashes as the plain tuple of its items.  Only a few
-    per skeleton carry text.  The device rows' terms do not: an instance
-    dict on each retained about 0.6 MB more over the 120 tables of the
-    paper preset's LP-export stream, to save one format per row and call.
+    It compares and hashes as the plain tuple of its items.  A skeleton's
+    objective, bound and link terms and its binaries carry theirs; a built
+    model's rows carry the text of its ``Subject To`` block.  The device
+    rows' terms do not: an instance dict on each retained about 0.6 MB more
+    over the 120 tables of the paper preset's LP-export stream, to save one
+    format per re-rendered row.
     """
 
     text: str
@@ -72,13 +76,14 @@ def _rendered(items, render) -> _Rendered:
 
 
 class _Skeleton(NamedTuple):
-    """The state-free part of every model of one candidate table, and the last model's residual rows."""
+    """The state-free part of every model of one candidate table, and the last model's residual rows and lines."""
 
     terms: dict  # entry metric -> its (variable, coefficient) terms: a kind's objective or bound row
     assign: LpRow
+    assign_line: str
     device_ids: tuple[str, ...]  # the residuals of the device rows,
     link_ids: tuple[str, ...]  # then of the link rows
-    residual_rows: list[LpRow]  # the last model's device and link rows; right-hand side None before
+    residual_rows: list[tuple[LpRow, str]]  # the last model's device and link rows, each with its line; None before
     binaries: _Rendered
 
 
@@ -97,16 +102,19 @@ def _skeleton(finite: list[TableEntry], bandwidth_demand: float) -> _Skeleton:
         for link in entry.path:
             link_terms.setdefault(link.id, []).append(term)
     link_ids = sorted(link_terms)
+    assign = LpRow("assign", _rendered(((var, 1.0) for var in names), _terms), "=", 1.0)
     return _Skeleton(
         terms={metric: _rendered(zip(names, map(metric, entries)), _terms)
                for metric in {metric for pair in KIND_METRICS.values() for metric in pair}},
-        assign=LpRow("assign", _rendered(((var, 1.0) for var in names), _terms), "=", 1.0),
+        assign=assign,
+        assign_line=_line(assign),
         device_ids=tuple(e.device.id for e in entries),
         link_ids=tuple(link_ids),
         residual_rows=[  # row names repeat across tables like variable names
-            *(LpRow(sys.intern(f"cap_{e.device.id}"), ((var, e.variant.resource_demand),), "<=", None)
+            *((LpRow(sys.intern(f"cap_{e.device.id}"), ((var, e.variant.resource_demand),), "<=", None), None)
               for var, e in zip(names, entries)),
-            *(LpRow(f"cap_{link_id}", _rendered(link_terms[link_id], _terms), "<=", None) for link_id in link_ids),
+            *((LpRow(f"cap_{link_id}", _rendered(link_terms[link_id], _terms), "<=", None), None)
+              for link_id in link_ids),
         ],
         binaries=_rendered(names, _binaries),
     )
@@ -128,12 +136,20 @@ def build_ilp(
     link_remaining = state.link_remaining
     residuals = [device_remaining[device_id] for device_id in skeleton.device_ids]
     residuals += [link_remaining[link_id] for link_id in skeleton.link_ids]
-    # Each row is checked against this state's residual, so threads never use another state's row.
-    rows = [row if row.rhs is rhs else LpRow(row.name, row.terms, "<=", rhs)
-            for row, rhs in zip(skeleton.residual_rows, residuals)]
-    skeleton.residual_rows[:] = rows
-    rows = (skeleton.assign, LpRow("bound", skeleton.terms[bounded], "<=", bound.value), *rows)
+    # Each row is checked against this state's residual, and a row and its line are read and
+    # replaced as one slot, so threads never use another state's row or line.
+    slots = [slot if slot[0].rhs is rhs else _slot(slot[0], rhs)
+             for slot, rhs in zip(skeleton.residual_rows, residuals)]
+    skeleton.residual_rows[:] = slots
+    bound_row = LpRow("bound", skeleton.terms[bounded], "<=", bound.value)
+    rows = _Rendered((skeleton.assign, bound_row, *[row for row, _ in slots]))
+    rows.text = "\n".join([skeleton.assign_line, _line(bound_row), *[line for _, line in slots]])
     return IlpModel(f"request{request.id}_{bound.kind.value}", skeleton.terms[minimized], rows, skeleton.binaries)
+
+
+def _slot(row: LpRow, rhs: float) -> tuple[LpRow, str]:
+    row = LpRow(row.name, row.terms, "<=", rhs)
+    return row, _line(row)
 
 
 def _terms(terms: tuple[Term, ...]) -> str:
@@ -148,6 +164,10 @@ def _terms(terms: tuple[Term, ...]) -> str:
     return text
 
 
+def _line(row: LpRow) -> str:
+    return f" {row.name}: {_terms(row.terms)} {row.sense} {row.rhs:.12g}"
+
+
 def _binaries(names: tuple[str, ...]) -> str:
     if type(names) is _Rendered:
         return names.text
@@ -157,6 +177,7 @@ def _binaries(names: tuple[str, ...]) -> str:
 def to_lp_text(model: IlpModel) -> str:
     """CPLEX LP format: Minimize / Subject To / Binary / End."""
     lines = [f"\\ {model.name}", "Minimize", f" obj: {_terms(model.objective)}", "Subject To"]
-    lines += [f" {row.name}: {_terms(row.terms)} {row.sense} {row.rhs:.12g}" for row in model.rows]
+    rows = model.rows
+    lines += [rows.text] if type(rows) is _Rendered else map(_line, rows)
     lines.append(f"Binary\n{_binaries(model.binaries)}End\n")
     return "\n".join(lines)

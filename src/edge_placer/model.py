@@ -210,15 +210,18 @@ def build_topology(spec: TopologySpec) -> Topology:
         (Tier.CARRIER_EDGE, spec.carrier, spec.carrier_cloud_link),
         (Tier.USER_EDGE, spec.user, spec.user_carrier_link),
     ):
-        fleet = sorted(tier_spec.fleet, key=lambda e: CLASS_ORDER.index(e.device_class))
+        # Each enum's value is read once per tier and fleet entry, not once per site or device.
+        fleet = [(entry, entry.device_class.value)
+                 for entry in sorted(tier_spec.fleet, key=lambda e: CLASS_ORDER.index(e.device_class))]
+        tier_name = tier.value
         per_parent = tier_spec.sites // len(parents) if parents else 0
         ids = []
         for i in range(tier_spec.sites):
-            site_id = f"{tier.value}{i:03d}"
+            site_id = f"{tier_name}{i:03d}"
             site_devices = []
-            for entry in fleet:
+            for entry, class_name in fleet:
                 for j in range(entry.count):
-                    device_id = f"{site_id}_{entry.device_class.value}{j:02d}"
+                    device_id = f"{site_id}_{class_name}{j:02d}"
                     devices[device_id] = DeviceNode(
                         device_id, site_id, tier, entry.device_class, entry.capacity, entry.full_cost
                     )

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from edge_placer.lp_export import LpRow, build_ilp, to_lp_text, variable_name
+from edge_placer.lp_export import IlpModel, LpRow, build_ilp, to_lp_text, variable_name
 from edge_placer.model import DeviceClass, FleetSpec, LinkSpec, TierSpec, TopologySpec, build_topology
 from edge_placer.simulator import PatternKind, generate_requests
 from edge_placer.solver import (
@@ -392,6 +392,29 @@ class TestSkeletonCache:
         for bound, model in ((cost_bound, cost_first), (deadline_bound, deadline)):
             alone = build_topology(paper.topology_spec())
             assert to_lp_text(build_ilp(alone, state, request, bound)) == to_lp_text(model)
+
+    def test_model_keeps_its_own_text(self, paper):
+        # Rendered after a build on another state has refreshed the same skeleton's rows and lines.
+        topology = build_topology(paper.topology_spec())
+        request = paper_request(paper, topology)
+        bound = Bound(RequirementKind.COST_CAP, 7000.0)
+        first = ResidualState.fresh(topology)
+        model = build_ilp(topology, first, request, bound)
+        device_id = model.rows[2].name[len("cap_"):]
+        second = ResidualState(dict(first.device_remaining), dict(first.link_remaining))
+        second.device_remaining[device_id] = 0.0
+        other = build_ilp(topology, second, request, bound)
+
+        cold = [to_lp_text(build_ilp(build_topology(paper.topology_spec()), state, request, bound))
+                for state in (first, second)]
+        assert cold[0] != cold[1]
+        assert to_lp_text(model) == cold[0] and to_lp_text(other) == cold[1]
+        # The same model written out by hand, of plain tuples, renders through the row formatter.
+        by_hand = IlpModel(model.name, tuple(model.objective),
+                           tuple(LpRow(row.name, tuple(row.terms), row.sense, row.rhs) for row in model.rows),
+                           tuple(model.binaries))
+        assert by_hand == model and type(by_hand.rows) is tuple
+        assert to_lp_text(by_hand) == to_lp_text(model)
 
     def test_residual_rows_follow_the_state(self, paper):
         topology = build_topology(paper.topology_spec())

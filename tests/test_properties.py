@@ -1,6 +1,7 @@
 """Property tests: build_topology against topology_spec_errors, the scenario text round trip,
 the solver against an oracle, monotone escalation, residual conservation along seeded streams,
-whole seeded streams against a reference engine, and the CLI's exit codes on mutated scenario text."""
+whole seeded streams against a reference engine, the LP text of states taking turns on one topology,
+and the CLI's exit codes on mutated scenario text."""
 
 import dataclasses
 import math
@@ -14,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from edge_placer.cli import main  # noqa: E402
+from edge_placer.lp_export import IlpModel, build_ilp, to_lp_text  # noqa: E402
 from edge_placer.model import (  # noqa: E402
     CLASS_ORDER,
     DeviceClass,
@@ -427,6 +429,35 @@ def test_subtrees_decide_alone_as_in_the_whole_stream(case):
             if alone.placement is not None:
                 apply_placement(state, alone.placement)
             assert alone == outcome
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(seeded_streams())
+def test_lp_text_of_states_taking_turns_is_the_cold_text(case):
+    # The live state and a copy lagging a few placements behind build on one warm topology, so each
+    # build refreshes the rows and lines the other left in a skeleton; each model is rendered after
+    # both builds, and must read as on a topology that never built a model.
+    spec, entries, pattern, seed = case
+    warm = build_topology(spec)
+    scenario = dataclasses.replace(paper_scenario(), apps=entries)  # given the topology, only apps are read
+    live = ResidualState.fresh(warm)
+    lagging = ResidualState.fresh(warm)
+    for request in generate_requests(scenario, pattern, 30, seed, topology=warm):
+        cold = build_topology(spec)
+        for bound in request.requirement.ladder():
+            models = [(state, build_ilp(warm, state, request, bound)) for state in (live, lagging)]
+            for state, model in models:
+                assert to_lp_text(model) == to_lp_text(build_ilp(cold, state, request, bound)), request.id
+        placement = solve_with_escalation(warm, live, request).placement
+        if placement is not None:
+            apply_placement(live, placement)
+            if len(live.placements) % 3 == 0:
+                lagging = ResidualState(dict(live.device_remaining), dict(live.link_remaining))
+    for table in warm.candidate_tables.values():
+        if (skeleton := table.lp_skeleton) is not None:
+            assert len(skeleton.residual_rows) == len(skeleton.device_ids) + len(skeleton.link_ids)
+            for row, line in skeleton.residual_rows:
+                assert f"Subject To\n{line}\nBinary" in to_lp_text(IlpModel("", (), (row,), ()))
 
 
 PRESET_TEXTS = [serialize_scenario(paper_scenario()), serialize_scenario(cost_performance_demo_scenario())]
