@@ -27,7 +27,7 @@ import os
 import sys
 from collections import deque
 
-from .model import Tier, ValidationError, build_topology
+from .model import DEVICE_PREFIXES, Tier, ValidationError, build_topology
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -208,8 +208,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-# build_topology names every device <tier><site>_<class><n>: per tier value, the prefixes its device ids start with.
-_DEVICE_PREFIXES = {tier.value: tuple(f"{tier.value}{digit}" for digit in range(10)) for tier in Tier}
 _KIND_VALUES = {kind.value for kind in RequirementKind}
 _NON_NEGATIVE = ("response_time_s", "price_yen", "granted_bound_value")  # placed-row numbers that are never negative
 
@@ -260,13 +258,13 @@ def _read_trace(path: str) -> tuple[int, list[list]]:
                     signed = zip(_NON_NEGATIVE, (response, price, bound), numbers)
                     column, value = next((c, v) for c, v, n in signed if n < 0)
                     raise ScenarioError(f"{path}: row {row} has negative {column} {value!r}")
-                if tier not in _DEVICE_PREFIXES:
+                if tier not in DEVICE_PREFIXES:
                     raise ScenarioError(f"{path}: row {row} has unknown tier {tier!r}")
                 if kind not in _KIND_VALUES:
                     raise ScenarioError(f"{path}: row {row} has unknown granted_bound_kind {kind!r}")
                 if not device:
                     raise ScenarioError(f"{path}: row {row} has an empty device_id")
-                if not device.startswith(_DEVICE_PREFIXES[tier]):
+                if not device.startswith(DEVICE_PREFIXES[tier]):
                     raise ScenarioError(f"{path}: row {row} has device_id {device!r}, not a {tier} device")
                 placed.append([numbers[0], numbers[3], tier])
                 shown = average

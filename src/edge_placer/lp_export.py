@@ -1,4 +1,4 @@
-"""Emit one request's 0-1 placement program in CPLEX LP text format.
+"""Emit one request's 0-1 placement program as LP text laid out as CPLEX LP (not yet standard: see README).
 
 One binary variable per compatible (device, variant) pair on the
 request's root path; since choosing a device fixes the uplink path, link
@@ -175,7 +175,7 @@ def _binaries(names: tuple[str, ...]) -> str:
 
 
 def to_lp_text(model: IlpModel) -> str:
-    """CPLEX LP format: Minimize / Subject To / Binary / End."""
+    """CPLEX LP layout: Minimize / Subject To / Binary / End."""
     lines = [f"\\ {model.name}", "Minimize", f" obj: {_terms(model.objective)}", "Subject To"]
     rows = model.rows
     lines += [rows.text] if type(rows) is _Rendered else map(_line, rows)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 
 class ValidationError(ValueError):
@@ -186,6 +186,10 @@ def topology_spec_errors(spec: TopologySpec) -> list[str]:
     return errors
 
 
+# build_topology names every device <tier><site>_<class><n>: per tier value, the prefixes its device ids start with.
+DEVICE_PREFIXES = {tier.value: tuple(f"{tier.value}{digit}" for digit in range(10)) for tier in Tier}
+
+
 def build_topology(spec: TopologySpec) -> Topology:
     """Build a balanced tree topology from per-tier counts and fleets.
 
@@ -245,13 +249,22 @@ def build_topology(spec: TopologySpec) -> Topology:
     return Topology(sites=sites, devices=devices, links=links, input_nodes=input_nodes)
 
 
+def root_path(topology: Topology, site_id: str) -> Iterator[tuple[str, tuple[Link, ...]]]:
+    """Each site from ``site_id`` up to its root, nearest first, with the uplinks from ``site_id`` to it."""
+    path: tuple[Link, ...] = ()
+    while True:
+        yield site_id, path
+        link = topology.uplink_by_child.get(site_id)
+        if link is None:
+            return
+        path += (link,)
+        site_id = link.parent_site
+
+
 def root_path_sites(topology: Topology, input_node_id: str) -> list[str]:
     """Sites reachable from an input node, nearest first (user edge up to the root)."""
     node = topology.input_nodes[input_node_id]
-    path = [node.attached_user_edge]
-    while (link := topology.uplink_by_child.get(path[-1])) is not None:
-        path.append(link.parent_site)
-    return path
+    return [site_id for site_id, _ in root_path(topology, node.attached_user_edge)]
 
 
 def uplink_path(topology: Topology, input_node_id: str, site_id: str) -> list[str]:
@@ -264,15 +277,7 @@ def uplink_path(topology: Topology, input_node_id: str, site_id: str) -> list[st
     node = topology.input_nodes[input_node_id]
     if site_id not in topology.sites:
         raise KeyError(f"unknown site {site_id!r}")
-    current = node.attached_user_edge
-    path: list[str] = []
-    while current != site_id:
-        link = topology.uplink_by_child.get(current)
-        if link is None:
-            raise ValueError(
-                f"site {site_id!r} is not on the uplink path of input {input_node_id!r}"
-            )
-        path.append(link.id)
-        current = link.parent_site
-    return path
-
+    for site, path in root_path(topology, node.attached_user_edge):
+        if site == site_id:
+            return [link.id for link in path]
+    raise ValueError(f"site {site_id!r} is not on the uplink path of input {input_node_id!r}")

@@ -41,6 +41,7 @@ from .model import (
     Tier,
     Topology,
     ValidationError,
+    root_path,
 )
 from .pricing import (
     TOLERANCE,
@@ -203,18 +204,20 @@ def _table(topology: Topology, input_node: InputNode, app: AppType) -> Candidate
     key = (input_node.attached_user_edge, app)
     table = topology.candidate_tables.get(key)
     if table is None:
-        # One walk up from the user edge, nearest site first, extending the
-        # path and its price terms by one link per level.
+        # One walk up the root path, extending the link ids and price terms by one link per level.
         per_link = per_link_time(app)
-        path: tuple[Link, ...] = ()
+        devices, variant_for = topology.devices, app.variant_for
         link_ids: tuple[str, ...] = ()
         link_terms: tuple[float, ...] = ()
         entries = []
-        site_id = input_node.attached_user_edge
-        while True:
+        for site_id, path in root_path(topology, input_node.attached_user_edge):
+            if path:
+                link = path[-1]
+                link_ids += (link.id,)
+                link_terms += (link_price(link, app),)
             for device_id in topology.sites[site_id].devices:
-                device = topology.devices[device_id]
-                variant = app.variant_for(device.device_class)
+                device = devices[device_id]
+                variant = variant_for(device.device_class)
                 if variant is not None:
                     entries.append(TableEntry(
                         app, device, variant, path,
@@ -222,13 +225,6 @@ def _table(topology: Topology, input_node: InputNode, app: AppType) -> Candidate
                         path_price(device_price(device, variant), link_terms),
                         link_ids,
                     ))
-            link = topology.uplink_by_child.get(site_id)
-            if link is None:
-                break
-            path += (link,)
-            link_ids += (link.id,)
-            link_terms += (link_price(link, app),)
-            site_id = link.parent_site
         table = topology.candidate_tables[key] = CandidateTable(tuple(entries))
     return table
 

@@ -207,8 +207,10 @@ class TestFits:
             (cloud_gpu, "link_remaining", cloud_gpu.path[-1].id, 2.0),
         ]
         for c, residuals, key, demand in boundaries:
-            # Exactly the demand fits, so does a shortfall within the tolerance; a larger one does not.
-            for shortfall, expected in [(0.0, True), (TOLERANCE / 2, True), (1e-6, False)]:
+            # Exactly the demand fits, so does a shortfall within the tolerance, even of exactly the tolerance
+            # (only ``>`` admits it, as (demand - TOLERANCE) + TOLERANCE == demand here); a larger one does not.
+            assert (demand - TOLERANCE) + TOLERANCE == demand
+            for shortfall, expected in [(0.0, True), (TOLERANCE / 2, True), (TOLERANCE, True), (1e-6, False)]:
                 state = ResidualState.fresh(paper_topology)
                 getattr(state, residuals)[key] = demand - shortfall
                 assert fits(c, state) is expected, (key, shortfall)

@@ -17,8 +17,6 @@ from edge_placer.model import (
     TopologySpec,
     ValidationError,
     build_topology,
-    root_path_sites,
-    uplink_path,
 )
 from edge_placer.lp_export import build_ilp, variable_name
 from edge_placer.pricing import TOLERANCE, AppType, AppVariant, price, response_time
@@ -244,6 +242,16 @@ class TestApplyPlacement:
         assert state.placements == [placement]
         assert -TOLERANCE < state.device_remaining[placement.device_id] < 0
         assert -TOLERANCE < state.link_remaining[link_id] < 0
+        # So does one of exactly the tolerance: (demand - TOLERANCE) + TOLERANCE == demand in float here.
+        for residuals, key, demand in [
+            ("device_remaining", placement.device_id, placement.resource_demand),
+            ("link_remaining", link_id, placement.bandwidth_demand),
+        ]:
+            assert (demand - TOLERANCE) + TOLERANCE == demand
+            state = ResidualState.fresh(paper_topology)
+            getattr(state, residuals)[key] = demand - TOLERANCE
+            apply_placement(state, placement)
+            assert state.placements == [placement], key
 
     def test_link_overcommit_rejected(self, paper, paper_topology):
         state = ResidualState.fresh(paper_topology)
@@ -743,12 +751,20 @@ def assert_table_matches_pricing(topology, input_node, app):
     site first and in the site's device order.
     """
     table = candidate_table(topology, input_node, app)
-    expected = [
-        (device_id, uplink_path(topology, input_node.id, site_id))
-        for site_id in root_path_sites(topology, input_node.id)
-        for device_id in topology.sites[site_id].devices
-        if app.variant_for(topology.devices[device_id].device_class) is not None
-    ]
+    # The expected paths come from a raw walk over the links, as ``oracle_solve``'s do.
+    link_by_child = {l.child_site: l for l in topology.links.values()}
+    expected, site_id, link_ids = [], input_node.attached_user_edge, []
+    while True:
+        expected += [
+            (device_id, list(link_ids))
+            for device_id in topology.sites[site_id].devices
+            if app.variant_for(topology.devices[device_id].device_class) is not None
+        ]
+        link = link_by_child.get(site_id)
+        if link is None:
+            break
+        link_ids.append(link.id)
+        site_id = link.parent_site
     assert [(e.device.id, [link.id for link in e.path]) for e in table] == expected
     for entry in table:
         assert entry.variant is app.variant_for(entry.device.device_class)
