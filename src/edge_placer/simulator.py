@@ -2,24 +2,30 @@
 
 Requests arrive one at a time and are resolved once, in order; accepted
 placements consume residual capacity for the rest of the run.  All
-randomness comes from one splitmix64 generator, ``splitmix64_outputs``
+randomness comes from one splitmix64 stream, ``splitmix64_outputs``
 (reference first outputs for seed 0: 0xE220A8397B1DCDAF,
-0x6E789E6AA1B965F4, 0x06C45D188009454F).  The draw order per request is
-pinned: (1) app choice from a uniform double (the top 53 bits of the
-next output) against the cumulative mix (weights added left to right),
-(2) input node from the next output modulo the input count, as an index
+0x6E789E6AA1B965F4, 0x06C45D188009454F).  Output k mixes only the
+state seed + k * 0x9E3779B97F4A7C15, so the stream is computed 1024
+outputs at a time, one per 128-bit lane of a Python int; every output
+equals the scalar generator's.  The draw order per request is pinned:
+(1) app choice from a uniform double (the top 53 bits of the next
+output) against the cumulative mix (weights added left to right), (2)
+input node from the next output modulo the input count, as an index
 into the input ids in string order (``input1000`` before ``input101``),
 and, for pattern 1 only, (3) requirement menu index from the next output
-modulo the menu size.  Identical (scenario, pattern, n, seed) therefore
-yield identical traces, and any reimplementation that follows these
-rules reproduces them bit for bit.
+modulo the menu size.  A stream of n requests takes exactly 3n outputs
+(pattern 1) or 2n (patterns 2 and 3).  Identical (scenario, pattern, n,
+seed) therefore yield identical traces, and any reimplementation that
+follows these rules reproduces them bit for bit.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping
 
 from .model import Tier, Topology, ValidationError, build_topology
@@ -30,6 +36,8 @@ from .solver import (
     RequirementKind,
     RequestOutcome,
     ResidualState,
+    _outcome,
+    _placement_request,
     apply_placement,
     solve_with_escalation,
 )
@@ -38,16 +46,42 @@ from .solver import (
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
+# splitmix64 in lane blocks: output k of a seed mixes only the state
+# seed + k * gamma, so one big int holds _LANES states, one per 128-bit lane
+# (lane i at bits 128i up), and each mixing step runs over all of them at
+# once.  Every step leaves each lane below 2**64 (the _LOW mask), so a product
+# with a 64-bit constant stays inside its lane and each lane follows the
+# scalar steps exactly.
+_LANES = 1024
+_ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * _LANES, "little")  # 1 in every lane
+_LOW = int.from_bytes((b"\xff" * 8).ljust(16, b"\0") * _LANES, "little")  # 2**64 - 1 in every lane
+_INDEX = int.from_bytes(b"".join([i.to_bytes(16, "little") for i in range(_LANES)]), "little")  # i in lane i
+_STEPS = (_INDEX + _ONES) * _GAMMA & _LOW  # (i + 1) * gamma mod 2**64 in lane i
+_BLOCK_GAMMA = _LANES * _GAMMA & _MASK64
+# A lane's low word is its output.  A block is unpacked as native 64-bit
+# words of its bytes in native order: lane i's low word is word 2i on a
+# little-endian machine, and word 2 * (_LANES - 1 - i) + 1 on a big-endian
+# one, where the bytes start at the top lane's high word.
+if memoryview(bytes(8)).cast("Q").itemsize != 8:
+    raise ImportError("splitmix64 lane blocks need 8-byte 'Q' words")
+_LOW_WORD_STEP = 2 if sys.byteorder == "little" else -2  # big-endian: not exercised by the tests
+
+
+def _splitmix64_blocks(seed: int) -> Iterator[list[int]]:
+    ones, low, steps = _ONES, _LOW, _STEPS  # locals: read on every block
+    start = seed & _MASK64  # the state before the block's first output
+    while True:
+        z = (start * ones + steps) & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        words = memoryview((z ^ (z >> 31)).to_bytes(16 * _LANES, sys.byteorder)).cast("Q")
+        yield words[::_LOW_WORD_STEP].tolist()
+        start = (start + _BLOCK_GAMMA) & _MASK64
+
 
 def splitmix64_outputs(seed: int) -> Iterator[int]:
-    """The endless splitmix64 output stream of ``seed`` (taken modulo 2**64)."""
-    mask, gamma = _MASK64, _GAMMA  # locals: read on every draw
-    state = seed & mask
-    while True:
-        state = (state + gamma) & mask
-        x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-        yield x ^ (x >> 31)
+    """The endless splitmix64 output stream of ``seed`` (taken modulo 2**64), drawn in blocks of 1024."""
+    return chain.from_iterable(_splitmix64_blocks(seed))
 
 
 class PatternKind(Enum):
@@ -133,19 +167,25 @@ def generate_requests(
 
     apps = [entry.app for entry in scenario.apps]
     cumulative = scenario.mix_cumulative()
-    draws_menu = pattern is PatternKind.PATTERN1
     n_inputs = len(input_nodes)
+    # Exactly the outputs the requests draw, in the pinned order: per request,
+    # the app draw, the input draw and, for pattern 1 only, the menu draw.
+    # _LANES requests at a time (their draws fill whole lane blocks), which
+    # keeps the draws of a long stream from being held all at once.
+    draws = 3 if pattern is PatternKind.PATTERN1 else 2
     outputs = splitmix64_outputs(seed)
     stream: RequestStream = []
-    append = stream.append
-    # zip pulls request_id first, so it stops before drawing past the last
-    # request, then the app draw and the input draw (draws 1 and 2 of the
-    # module docstring, written out); pattern 1 draws its menu index last.
-    for request_id, app_draw, input_draw in zip(range(1, n + 1), outputs, outputs):
-        k = bisect_right(cumulative, (app_draw >> 11) * 2.0**-53)
-        options = choices[k]
-        requirement = options[next(outputs) % len(options)] if draws_menu else options[0]
-        append(PlacementRequest(request_id, apps[k], input_nodes[input_draw % n_inputs], requirement))
+    for first in range(1, n + 1, _LANES):
+        block = list(islice(outputs, draws * min(_LANES, n + 1 - first)))
+        ks = [bisect_right(cumulative, (draw >> 11) * 2.0**-53) for draw in block[0::draws]]
+        if draws == 3:
+            requirements = [choices[k][draw % len(choices[k])] for k, draw in zip(ks, block[2::draws])]
+        else:
+            requirements = [choices[k][0] for k in ks]
+        stream += [
+            _placement_request(request_id, apps[k], input_nodes[draw % n_inputs], requirement)
+            for request_id, k, draw, requirement in zip(range(first, n + 1), ks, block[1::draws], requirements)
+        ]
     return stream
 
 
@@ -183,7 +223,7 @@ def run_simulation(
         loosest = requirement.bounds[-1]
         known = rejected.get(key)
         if known is not None and loosest <= known:
-            append(RequestOutcome(request, None))
+            append(_outcome(request, None))
             continue
         # A module global, read per call: a wrapper set on the module sees every solve.
         outcome = solve_with_escalation(topology, state, request)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
@@ -128,6 +128,58 @@ class RequestOutcome:
     @property
     def placed(self) -> bool:
         return self.placement is not None
+
+
+# Builders of the three records made once per request or placement:
+# ``object.__new__`` plus each field's slot ``__set__``, unrolled.  They skip
+# the generated ``__init__``, which goes through ``object.__setattr__`` once
+# per field, at roughly half its cost.  The classes stay as declared, so
+# equality, hash, repr, pickling and ``dataclasses.replace`` do not change.
+# The setters are read from ``fields`` once, so a builder and its class
+# disagree loudly (an unpacking error at import) when a field is added.
+_new = object.__new__
+_set_request_id, _set_app, _set_input_node, _set_requirement = (
+    getattr(PlacementRequest, f.name).__set__ for f in fields(PlacementRequest)
+)
+_set_request, _set_placement = (getattr(RequestOutcome, f.name).__set__ for f in fields(RequestOutcome))
+(
+    _set_placement_request_id, _set_device_id, _set_tier, _set_variant_class, _set_path_link_ids,
+    _set_response_time, _set_price, _set_granted_bound, _set_resource_demand, _set_bandwidth_demand,
+) = (getattr(Placement, f.name).__set__ for f in fields(Placement))
+
+
+def _placement_request(id, app, input_node, requirement) -> PlacementRequest:
+    request = _new(PlacementRequest)
+    _set_request_id(request, id)
+    _set_app(request, app)
+    _set_input_node(request, input_node)
+    _set_requirement(request, requirement)
+    return request
+
+
+def _outcome(request, placement) -> RequestOutcome:
+    outcome = _new(RequestOutcome)
+    _set_request(outcome, request)
+    _set_placement(outcome, placement)
+    return outcome
+
+
+def _placement(
+    request_id, device_id, tier, variant_class, path_link_ids,
+    response_time, price, granted_bound, resource_demand, bandwidth_demand,
+) -> Placement:
+    placement = _new(Placement)
+    _set_placement_request_id(placement, request_id)
+    _set_device_id(placement, device_id)
+    _set_tier(placement, tier)
+    _set_variant_class(placement, variant_class)
+    _set_path_link_ids(placement, path_link_ids)
+    _set_response_time(placement, response_time)
+    _set_price(placement, price)
+    _set_granted_bound(placement, granted_bound)
+    _set_resource_demand(placement, resource_demand)
+    _set_bandwidth_demand(placement, bandwidth_demand)
+    return placement
 
 
 @dataclass
@@ -314,7 +366,7 @@ def solve_request(
     bounded, minimized = KIND_METRICS[bound.kind]
     granted = _granted(bound.rungs, bounded(entries[0]))
     _, device, variant, _, r, p, link_ids = _select(entries, minimized, bounded)
-    return Placement(
+    return _placement(
         request.id, device.id, device.tier, variant.device_class, link_ids,
         r, p, granted, variant.resource_demand, request.app.bandwidth_demand,
     )
@@ -326,7 +378,7 @@ def solve_with_escalation(
     request: PlacementRequest,
 ) -> RequestOutcome:
     """Try the requirement's bounds tightest-first; first admitting bound wins."""
-    return RequestOutcome(request, solve_request(topology, state, request, request.requirement))
+    return _outcome(request, solve_request(topology, state, request, request.requirement))
 
 
 def apply_placement(state: ResidualState, placement: Placement) -> None:

@@ -1,4 +1,5 @@
-"""Property tests: build_topology against topology_spec_errors, the scenario text round trip,
+"""Property tests: the splitmix64 lane blocks against the scalar reference,
+build_topology against topology_spec_errors, the scenario text round trip,
 the solver against an oracle, monotone escalation, residual conservation along seeded streams,
 whole seeded streams against a reference engine, the LP text of states taking turns on one topology,
 and the CLI's exit codes on mutated scenario text."""
@@ -52,10 +53,20 @@ from edge_placer.solver import (  # noqa: E402
     candidate_table,
     solve_with_escalation,
 )
-from test_simulator import assert_memo_keeps_the_plain_loop, assert_stream_matches_reference  # noqa: E402
+from test_simulator import (  # noqa: E402
+    assert_memo_keeps_the_plain_loop,
+    assert_stream_matches_reference,
+    check_splitmix64,
+)
 from test_solver import TOL, oracle_solve  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(-2**70, 2**70), count=st.integers(0, 2200))
+def test_splitmix64_lane_blocks_equal_the_scalar_reference(seed, count):
+    check_splitmix64(seed, count)
 
 
 @st.composite

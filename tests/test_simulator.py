@@ -1,5 +1,6 @@
 import pytest
 
+from itertools import islice
 from types import SimpleNamespace
 
 from edge_placer import simulator
@@ -22,11 +23,34 @@ from edge_placer.solver import (
 from test_solver import TOL, oracle_solve
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_reference(seed: int):
+    """Vigna's scalar splitmix64, one output per step: the reference for ``splitmix64_outputs``."""
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def check_splitmix64(seed: int, count: int) -> int:
+    """Assert that the first ``count`` outputs of ``splitmix64_outputs(seed)`` are the reference's; return count."""
+    compared = 0
+    for k, (lane, scalar) in enumerate(zip(islice(splitmix64_outputs(seed), count), splitmix64_reference(seed))):
+        assert lane == scalar, f"seed {seed}: output {k} is {lane:#x}, the reference gives {scalar:#x}"
+        compared += 1
+    assert compared == count
+    return compared
+
+
 class SplitMix64:
-    """One draw per method call, as the pinned draw order names them; a test reference for the inline draws."""
+    """One draw per method call, as the pinned draw order names them, from the scalar reference."""
 
     def __init__(self, seed: int):
-        self._outputs = splitmix64_outputs(seed)
+        self._outputs = splitmix64_reference(seed)
 
     def next_u64(self) -> int:
         return next(self._outputs)
@@ -57,6 +81,11 @@ class TestSplitMix64:
         rng2 = SplitMix64(12345)
         for _ in range(1000):
             assert 0.0 <= rng2.next_double() < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 2**64, -1, 2**80 + 5])
+    def test_lane_blocks_equal_the_scalar_reference(self, seed):
+        # Three whole blocks of 1024 lanes and 7 outputs into the fourth.
+        assert check_splitmix64(seed, 3 * 1024 + 7) == 3 * 1024 + 7
 
     def test_seed_masking_and_modulo(self):
         assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
@@ -137,6 +166,31 @@ class TestGenerateRequests:
             kind, value = menus[app][menu_index]
             assert request.requirement.kind is kind
             assert request.requirement.bounds == (value,)
+
+    @pytest.mark.parametrize("pattern", [PatternKind.PATTERN1, PatternKind.PATTERN2])
+    def test_streams_cross_lane_blocks(self, paper, paper_topology, pattern):
+        # 1100 requests take 3300 outputs (pattern 1) or 2200 (pattern 2): past the first two lane blocks
+        # of 1024 outputs, and past the first 1024 requests, which generate_requests draws together.
+        seed, n = 2718, 1100
+        rng = SplitMix64(seed)
+        inputs = sorted(paper_topology.input_nodes)
+        cumulative = paper.mix_cumulative()
+        expected = []
+        for _ in range(n):
+            u = rng.next_double()
+            entry = paper.apps[next(i for i, c in enumerate(cumulative) if u < c)]
+            input_id = inputs[rng.next_u64() % len(inputs)]
+            if pattern is PatternKind.PATTERN1:
+                menu = [(RequirementKind.COST_CAP, (v,)) for v in entry.price_menu]
+                menu += [(RequirementKind.DEADLINE, (v,)) for v in entry.deadline_menu]
+                requirement = menu[rng.next_u64() % len(menu)]
+            else:
+                requirement = (RequirementKind.COST_CAP, entry.price_menu)
+            expected.append((entry.app.name, input_id, requirement))
+        stream = generate_requests(paper, pattern, n, seed, topology=paper_topology)
+        assert [
+            (r.app.name, r.input_node.id, (r.requirement.kind, r.requirement.bounds)) for r in stream
+        ] == expected
 
     @pytest.mark.parametrize("pattern", list(PatternKind))
     def test_stream_rebuilt_from_documented_draws(self, paper, paper_topology, pattern):
