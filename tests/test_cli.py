@@ -4,15 +4,17 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
 import pytest
 
+import edge_placer
 from edge_placer.cli import CSV_COLUMNS, main, trace_csv_text
 from edge_placer.lp_export import build_ilp, to_lp_text
 from edge_placer.model import Tier, build_topology
-from edge_placer.scenario import paper_scenario, serialize_scenario
+from edge_placer.scenario import cost_performance_demo_scenario, paper_scenario, serialize_scenario
 from edge_placer.simulator import PatternKind, compute_metrics, generate_requests, run_simulation
 from edge_placer.solver import ResidualState, apply_placement, solve_with_escalation
 
@@ -49,10 +51,44 @@ PAPER_PRICE_MENUS = '"NAS.FT": [7000.0, 8500.0, 10000.0], "MRI-Q": [12500.0, 200
 UNAFFORDABLE_PRICE_MENUS = '"NAS.FT": [1.0], "MRI-Q": [1.0]'
 
 
-def read_pinned():
-    pinned_path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pinned.json")
-    with open(pinned_path, encoding="utf-8") as handle:
-        return json.load(handle)
+# perfbench/run.py has no side effects at import; its WORKLOADS give the shapes of
+# the full-size workloads whose seed-42 outputs perfbench/pinned.json pins.
+PERFBENCH = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py"))
+
+
+@pytest.mark.parametrize("workload", PERFBENCH["WORKLOADS"])
+def test_outputs_match_pinned_digests(tmp_path, workload):
+    # The benchmark's verification pass: the CLI batch, `report` over its traces,
+    # and the LP stream of the driven loop, where each stride-th request exports
+    # every rung of its ladder against the live residuals before it is decided.
+    with open(PERFBENCH["PINNED"], encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    spec = PERFBENCH["WORKLOADS"][workload]
+    seed = pinned["seed"]
+    digests = {}
+    for cli_pattern in spec.cli_patterns:
+        out = tmp_path / cli_pattern
+        assert main(["run", "--paper", "--pattern", cli_pattern, "--requests", str(spec.requests),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        for path in out.iterdir():
+            digests[f"{cli_pattern}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert main(["report", *map(str, sorted(tmp_path.glob("*/trace_*.csv")))]) == 0
+
+    scenario = paper_scenario()
+    topology = build_topology(scenario.topology_spec())
+    lp_digest = hashlib.sha256()
+    for pattern in spec.patterns:
+        state = ResidualState.fresh(topology)
+        stream = generate_requests(scenario, PatternKind(pattern), spec.requests, seed, topology=topology)
+        for index, request in enumerate(stream):
+            if index % spec.lp_stride == 0:
+                for bound in request.requirement.ladder():
+                    lp_digest.update(to_lp_text(build_ilp(topology, state, request, bound)).encode("utf-8"))
+            outcome = solve_with_escalation(topology, state, request)
+            if outcome.placed:
+                apply_placement(state, outcome.placement)
+    digests["lp.txt"] = lp_digest.hexdigest()
+    assert digests == pinned["digests"][workload]
 
 
 class TestRun:
@@ -71,15 +107,6 @@ class TestRun:
         main(["run", "--paper", "--pattern", "2", "--requests", "150", "--seed", "9", "--out", str(tmp_path)])
         trace = run_simulation(paper_scenario(), PatternKind.PATTERN2, 150, 9)
         assert read(tmp_path / "trace_2.csv") == trace_csv_text(trace)
-
-    def test_paper_outputs_match_pinned_digests(self, tmp_path):
-        pinned = read_pinned()
-        code = main(["run", "--paper", "--pattern", "all", "--requests", "1000",
-                     "--seed", str(pinned["seed"]), "--out", str(tmp_path)])
-        assert code == 0
-        for name in ("trace_1.csv", "trace_2.csv", "trace_3.csv", "summary.md"):
-            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            assert digest == pinned["digests"]["paper"][f"all/{name}"], name
 
     def test_zero_requests_header_only(self, tmp_path):
         code = main(["run", "--paper", "--pattern", "1", "--requests", "0", "--seed", "1", "--out", str(tmp_path)])
@@ -120,14 +147,21 @@ class TestRun:
         bad.write_text("schema_version = 1\n")
         assert main(["run", "--scenario", str(bad), "--pattern", "1"]) == 2
 
-    def test_scenario_file_equivalent_to_preset(self, tmp_path):
-        scenario_path = tmp_path / "paper.scn"
-        scenario_path.write_text(serialize_scenario(paper_scenario()), encoding="utf-8")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["run", "--paper", "--pattern", "2", "--requests", "120", "--seed", "5", "--out", str(out_a)])
-        main(["run", "--scenario", str(scenario_path), "--pattern", "2", "--requests", "120",
-              "--seed", "5", "--out", str(out_b)])
-        assert read(out_a / "trace_2.csv") == read(out_b / "trace_2.csv")
+    @pytest.mark.parametrize("preset", [paper_scenario, cost_performance_demo_scenario], ids=["paper", "demo"])
+    def test_scenario_file_equivalent_to_preset(self, tmp_path, preset):
+        # A preset's text validates, runs as the preset does, and its traces report clean.
+        scenario = preset()
+        scenario_path = tmp_path / "preset.scn"
+        scenario_path.write_text(serialize_scenario(scenario), encoding="utf-8")
+        assert main(["validate", "--scenario", str(scenario_path)]) == 0
+        assert main(["run", "--scenario", str(scenario_path), "--pattern", "all", "--requests", "120",
+                     "--seed", "5", "--out", str(tmp_path)]) == 0
+        paths = [tmp_path / f"trace_{pattern.value}.csv" for pattern in PatternKind]
+        for pattern, path in zip(PatternKind, paths):
+            trace = run_simulation(scenario, pattern, 120, 5)
+            assert read(path) == trace_csv_text(trace)
+        assert f"- scenario: {scenario.name} (sha256 {trace.scenario_hash[:12]})\n" in read(tmp_path / "summary.md")
+        assert main(["report", *map(str, paths)]) == 0
 
     def test_default_seed_is_42(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EDGE_PLACER_SEED", "7")  # no environment variable sets the seed
@@ -294,23 +328,6 @@ class TestTraceCsv:
 
 
 class TestEmitLp:
-    def test_lp_stream_matches_pinned_digest(self):
-        # The lp-export benchmark stream: before each decision, the model of
-        # every bound of the request's ladder against the live residuals.
-        pinned = read_pinned()
-        scenario = paper_scenario()
-        topology = build_topology(scenario.topology_spec())
-        digest = hashlib.sha256()
-        for pattern in (1, 2, 3):
-            state = ResidualState.fresh(topology)
-            for request in generate_requests(scenario, PatternKind(pattern), 1000, pinned["seed"], topology=topology):
-                for bound in request.requirement.ladder():
-                    digest.update(to_lp_text(build_ilp(topology, state, request, bound)).encode("utf-8"))
-                outcome = solve_with_escalation(topology, state, request)
-                if outcome.placed:
-                    apply_placement(state, outcome.placement)
-        assert digest.hexdigest() == pinned["digests"]["lp-export"]["lp.txt"]
-
     def test_first_request_pattern2_optimum(self, tmp_path):
         out = tmp_path / "first.lp"
         code = main(["emit-lp", "--paper", "--pattern", "2", "--request-index", "1",
@@ -319,11 +336,12 @@ class TestEmitLp:
         # first bound (7000 yen) admits only the cloud GPUs: optimum 7.4 s
         assert enumerate_optimum(read(out)) == pytest.approx(7.4, abs=1e-9)
 
-    @pytest.mark.parametrize("pattern", [1, 2, 3])
-    def test_residuals_match_independent_replay(self, tmp_path, pattern):
+    @pytest.mark.parametrize("pattern, bound_index", [(1, 0), (2, 0), (3, 0), (3, 1)],
+                             ids=["1", "2", "3", "3-bound-index-1"])
+    def test_residuals_match_independent_replay(self, tmp_path, pattern, bound_index):
         out = tmp_path / "replayed.lp"
         code = main(["emit-lp", "--paper", "--pattern", str(pattern), "--request-index", "500",
-                     "--seed", "42", "--out", str(out)])
+                     "--bound-index", str(bound_index), "--seed", "42", "--out", str(out)])
         assert code == 0
         scenario = paper_scenario()
         topology = build_topology(scenario.topology_spec())
@@ -334,16 +352,11 @@ class TestEmitLp:
             if outcome.placed:
                 apply_placement(state, outcome.placement)
         target = stream[-1]
-        bound = target.requirement.ladder()[0]
+        bound = target.requirement.ladder()[bound_index]
         expected = to_lp_text(build_ilp(topology, state, target, bound))
         # the replay changed residuals the target's model reads
         assert expected != to_lp_text(build_ilp(topology, ResidualState.fresh(topology), target, bound))
         assert read(out) == expected
-
-    def test_bound_index_beyond_ladder(self, tmp_path):
-        code = main(["emit-lp", "--paper", "--pattern", "2", "--request-index", "1",
-                     "--seed", "42", "--bound-index", "5", "--out", str(tmp_path / "x.lp")])
-        assert code == 2
 
     def test_missing_unit_price_exit_2(self, tmp_path, capsys):
         path = edited_paper(tmp_path, ', "fpga": 1200.0}', "}")
@@ -558,7 +571,9 @@ class TestUnreadableInput:
          "invalid value for 'name': nested too deeply"),
         (b'name = "paper-3tier"', b'name = "\\ud800"', 2, "invalid value for 'name': lone surrogate escape"),
         (b'"MRI-Q"', b'"MRI-\\udc00Q"', 33, "invalid value for 'name': lone surrogate escape"),
-    ], ids=["non-utf8-byte", "deep-nesting", "lone-surrogate", "lone-surrogate-app-name"])
+        (b'"NAS.FT": [7000.0, 8500.0', b'"NAS.FT": [8500.0, 7000.0', 40,
+         "app 'NAS.FT': 'price_menus': menu values must be strictly increasing"),
+    ], ids=["non-utf8-byte", "deep-nesting", "lone-surrogate", "lone-surrogate-app-name", "swapped-price-menu"])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, argv, old, new, line, message):
         path = tmp_path / "bad.scn"
         path.write_bytes(paper_bytes_with(old, new))
@@ -689,7 +704,8 @@ class TestRefusals:
     @pytest.mark.parametrize("index_args, message", [
         (["--request-index", "0"], "error: request index 0 is out of range\n"),
         (["--request-index", "1", "--bound-index", "5"], "error: bound index 5 outside ladder of 3 bounds\n"),
-    ], ids=["request-index", "bound-index"])
+        (["--request-index", "1", "--bound-index", "3"], "error: bound index 3 outside ladder of 3 bounds\n"),
+    ], ids=["request-index", "bound-index", "bound-index-equal-to-ladder-length"])
     def test_emit_lp_index_out_of_range(self, tmp_path, capsys, index_args, message):
         out = tmp_path / "x.lp"
         self.refused(capsys, ["emit-lp", "--paper", "--pattern", "2", *index_args, "--out", str(out)], 2, message)
@@ -721,7 +737,8 @@ class TestRefusals:
 
 def test_runtime_imports_only_the_standard_library():
     # -S: without it, .pth files of the environment's site-packages import modules of their own.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    # The directory edge_placer was imported from: src/, or an installed copy.
+    src = os.path.dirname(os.path.dirname(edge_placer.__file__))
     code = (
         "import pkgutil, sys; sys.path.insert(0, sys.argv[1]); import edge_placer\n"
         "for module in pkgutil.iter_modules(edge_placer.__path__): __import__(f'edge_placer.{module.name}')\n"
@@ -732,7 +749,7 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_cli_import_leaves_lp_export_unloaded():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    src = os.path.dirname(os.path.dirname(edge_placer.__file__))
     code = "import sys, edge_placer.cli; print(sorted(m for m in sys.modules if m.startswith('edge_placer')))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
