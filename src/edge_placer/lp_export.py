@@ -12,9 +12,9 @@ otherwise, so an external ILP solver can cross-validate placements.
 Variables and coefficients come from the solver's cached per-topology
 candidate table (``solver.CandidateTable``), so the exporter and the
 solver enumerate the same pairs with the same response times and prices.
-The model lists the entries of the bound kind's sorted view
-(``CandidateTable[kind]``), so only the pairs whose response time and
-price are finite; the solver never places the others.
+The model lists the table's entries whose response time and price are
+finite (``CandidateTable.finite``, the entries of its sorted views); the
+solver never places the others.
 
 Everything but the model name and the right-hand sides is state-free, so
 it is built once per candidate table, lazily, and cached on it with its
@@ -130,7 +130,7 @@ def build_ilp(
     table = _table(topology, request.input_node, request.app)
     skeleton = table.lp_skeleton
     if skeleton is None:
-        skeleton = table.lp_skeleton = _skeleton(table[bound.kind][1], request.app.bandwidth_demand)
+        skeleton = table.lp_skeleton = _skeleton(table.finite, request.app.bandwidth_demand)
     bounded, minimized = KIND_METRICS[bound.kind]
     device_remaining = state.device_remaining
     link_remaining = state.link_remaining

@@ -15,7 +15,7 @@ threads only recomputes an identical entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -44,7 +44,7 @@ class DeviceClass(Enum):
 CLASS_ORDER = (DeviceClass.CPU, DeviceClass.GPU, DeviceClass.FPGA)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceNode:
     """One server instance.
 
@@ -62,7 +62,7 @@ class DeviceNode:
     full_cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """Directed uplink from a child site to its parent site."""
 
@@ -73,14 +73,16 @@ class Link:
     monthly_cost: float  # money per month for full utilization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Site:
+    """One place of a tier, listing its devices' ids in ``CLASS_ORDER``."""
+
     id: str
     tier: Tier
     devices: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputNode:
     """Traffic source attached to a user-edge site.
 
@@ -94,6 +96,8 @@ class InputNode:
 
 @dataclass(frozen=True)
 class Topology:
+    """The built forest: sites, devices, links and input nodes, each keyed by id in build order."""
+
     sites: Mapping[str, Site]
     devices: Mapping[str, DeviceNode]
     links: Mapping[str, Link]
@@ -122,18 +126,24 @@ class FleetSpec:
 
 @dataclass(frozen=True)
 class TierSpec:
+    """How many sites a tier has, and the fleet each of them hosts."""
+
     sites: int
     fleet: tuple[FleetSpec, ...] = ()
 
 
 @dataclass(frozen=True)
 class LinkSpec:
+    """Bandwidth and monthly cost of every uplink between two tiers."""
+
     bandwidth_capacity: float  # Mbps
     monthly_cost: float
 
 
 @dataclass(frozen=True)
 class TopologySpec:
+    """What ``build_topology`` builds: the three tiers, the input count and the two link kinds."""
+
     cloud: TierSpec
     carrier: TierSpec
     user: TierSpec
@@ -190,6 +200,65 @@ def topology_spec_errors(spec: TopologySpec) -> list[str]:
 DEVICE_PREFIXES = {tier.value: tuple(f"{tier.value}{digit}" for digit in range(10)) for tier in Tier}
 
 
+def slot_setters(cls) -> tuple:
+    """The slot ``__set__`` of each field of a slotted dataclass, in field order.
+
+    A builder made of ``object.__new__`` plus these setters skips the
+    generated ``__init__``, which goes through ``object.__setattr__`` once
+    per field, at a fraction of its cost.  The class stays as declared, so
+    equality, hash, repr, pickling and ``dataclasses.replace`` do not
+    change.  Each builder unpacks the tuple into one name per field, so a
+    field added to a class and not to its builder fails at import.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+# Builders of the records build_topology makes, one per device, link, site and input node.
+_new = object.__new__
+(
+    _set_device_id, _set_device_site_id, _set_device_tier, _set_device_class, _set_capacity, _set_full_cost,
+) = slot_setters(DeviceNode)
+_set_link_id, _set_child_site, _set_parent_site, _set_bandwidth_capacity, _set_monthly_cost = slot_setters(Link)
+_set_site_id, _set_site_tier, _set_site_devices = slot_setters(Site)
+_set_input_id, _set_attached_user_edge = slot_setters(InputNode)
+
+
+def _device_node(id, site_id, tier, device_class, capacity, full_cost) -> DeviceNode:
+    device = _new(DeviceNode)
+    _set_device_id(device, id)
+    _set_device_site_id(device, site_id)
+    _set_device_tier(device, tier)
+    _set_device_class(device, device_class)
+    _set_capacity(device, capacity)
+    _set_full_cost(device, full_cost)
+    return device
+
+
+def _link(id, child_site, parent_site, bandwidth_capacity, monthly_cost) -> Link:
+    link = _new(Link)
+    _set_link_id(link, id)
+    _set_child_site(link, child_site)
+    _set_parent_site(link, parent_site)
+    _set_bandwidth_capacity(link, bandwidth_capacity)
+    _set_monthly_cost(link, monthly_cost)
+    return link
+
+
+def _site(id, tier, devices) -> Site:
+    site = _new(Site)
+    _set_site_id(site, id)
+    _set_site_tier(site, tier)
+    _set_site_devices(site, devices)
+    return site
+
+
+def _input_node(id, attached_user_edge) -> InputNode:
+    node = _new(InputNode)
+    _set_input_id(node, id)
+    _set_attached_user_edge(node, attached_user_edge)
+    return node
+
+
 def build_topology(spec: TopologySpec) -> Topology:
     """Build a balanced tree topology from per-tier counts and fleets.
 
@@ -214,27 +283,27 @@ def build_topology(spec: TopologySpec) -> Topology:
         (Tier.CARRIER_EDGE, spec.carrier, spec.carrier_cloud_link),
         (Tier.USER_EDGE, spec.user, spec.user_carrier_link),
     ):
-        # Each enum's value is read once per tier and fleet entry, not once per site or device.
-        fleet = [(entry, entry.device_class.value)
-                 for entry in sorted(tier_spec.fleet, key=lambda e: CLASS_ORDER.index(e.device_class))]
+        # Per tier, once: each server's id suffix (``_gpu00``, ...) next to its fleet entry's fields.
+        servers = [
+            (f"_{entry.device_class.value}{j:02d}", entry.device_class, entry.capacity, entry.full_cost)
+            for entry in sorted(tier_spec.fleet, key=lambda e: CLASS_ORDER.index(e.device_class))
+            for j in range(entry.count)
+        ]
         tier_name = tier.value
         per_parent = tier_spec.sites // len(parents) if parents else 0
         ids = []
         for i in range(tier_spec.sites):
             site_id = f"{tier_name}{i:03d}"
             site_devices = []
-            for entry, class_name in fleet:
-                for j in range(entry.count):
-                    device_id = f"{site_id}_{class_name}{j:02d}"
-                    devices[device_id] = DeviceNode(
-                        device_id, site_id, tier, entry.device_class, entry.capacity, entry.full_cost
-                    )
-                    site_devices.append(device_id)
-            sites[site_id] = Site(site_id, tier, tuple(site_devices))
+            for suffix, device_class, capacity, full_cost in servers:
+                device_id = site_id + suffix
+                devices[device_id] = _device_node(device_id, site_id, tier, device_class, capacity, full_cost)
+                site_devices.append(device_id)
+            sites[site_id] = _site(site_id, tier, tuple(site_devices))
             if parents:
                 parent = parents[i // per_parent]
                 link_id = f"link_{site_id}_{parent}"
-                links[link_id] = Link(
+                links[link_id] = _link(
                     link_id, site_id, parent, link_spec.bandwidth_capacity, link_spec.monthly_cost
                 )
             ids.append(site_id)
@@ -244,7 +313,7 @@ def build_topology(spec: TopologySpec) -> Topology:
     input_nodes: dict[str, InputNode] = {}
     for n in range(spec.input_nodes):
         input_id = f"input{n:03d}"
-        input_nodes[input_id] = InputNode(input_id, parents[n // per_user])
+        input_nodes[input_id] = _input_node(input_id, parents[n // per_user])
 
     return Topology(sites=sites, devices=devices, links=links, input_nodes=input_nodes)
 

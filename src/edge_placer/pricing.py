@@ -72,8 +72,9 @@ class AppType:
             raise ValidationError(f"app {self.name!r}: bandwidth_demand must be finite and > 0")
         if not self.variants:
             raise ValidationError(f"app {self.name!r}: needs at least one variant")
-        classes = [v.device_class for v in self.variants]
-        if len(set(classes)) != len(classes):
+        # Read-only after construction: ``variant_for`` and the solver's candidate tables look variants up here.
+        object.__setattr__(self, "variant_by_class", {v.device_class: v for v in self.variants})
+        if len(self.variant_by_class) != len(self.variants):
             raise ValidationError(f"app {self.name!r}: duplicate variant device class")
         # An app keys the solver's candidate tables, so every decision hashes
         # it: hash the fields once, not on every lookup.
@@ -91,10 +92,7 @@ class AppType:
         return (type(self), self._fields())
 
     def variant_for(self, device_class: DeviceClass) -> AppVariant | None:
-        for variant in self.variants:
-            if variant.device_class is device_class:
-                return variant
-        return None
+        return self.variant_by_class.get(device_class)
 
 
 @dataclass(frozen=True)

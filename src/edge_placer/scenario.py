@@ -71,6 +71,8 @@ def _hosted_classes(plan: TierPlan) -> list[DeviceClass]:
 
 @dataclass(frozen=True)
 class AppEntry:
+    """One app of the catalog: its mix weight and the menus its requests draw bounds from."""
+
     app: AppType
     mix_weight: float
     price_menu: tuple[float, ...]
@@ -79,6 +81,8 @@ class AppEntry:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A whole study: tier plans, prices, links and the app catalog."""
+
     name: str
     cloud: TierPlan
     carrier: TierPlan

@@ -104,6 +104,8 @@ RequestStream = list[PlacementRequest]
 
 @dataclass(frozen=True)
 class Trace:
+    """One run's outcomes in arrival order, with the residual state they left."""
+
     scenario_hash: str
     pattern: PatternKind
     seed: int
@@ -123,6 +125,8 @@ class MetricsPoint:
 
 @dataclass(frozen=True)
 class MetricsSeries:
+    """The running totals of one trace, one point per placement, and its request and rejection counts."""
+
     points: tuple[MetricsPoint, ...]
     total_requests: int
     total_rejections: int

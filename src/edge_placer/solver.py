@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
@@ -42,6 +42,7 @@ from .model import (
     Topology,
     ValidationError,
     root_path,
+    slot_setters,
 )
 from .pricing import (
     TOLERANCE,
@@ -63,6 +64,8 @@ class RequirementKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Bound:
+    """One rung of a ladder: a cost cap or a deadline of one value."""
+
     kind: RequirementKind
     value: float
 
@@ -96,6 +99,8 @@ class Requirement:
 
 @dataclass(frozen=True, slots=True)
 class PlacementRequest:
+    """One request: which app, from which input node, under which ladder."""
+
     id: int  # arrival order, 1-based
     app: AppType
     input_node: InputNode
@@ -130,22 +135,14 @@ class RequestOutcome:
         return self.placement is not None
 
 
-# Builders of the three records made once per request or placement:
-# ``object.__new__`` plus each field's slot ``__set__``, unrolled.  They skip
-# the generated ``__init__``, which goes through ``object.__setattr__`` once
-# per field, at roughly half its cost.  The classes stay as declared, so
-# equality, hash, repr, pickling and ``dataclasses.replace`` do not change.
-# The setters are read from ``fields`` once, so a builder and its class
-# disagree loudly (an unpacking error at import) when a field is added.
+# Builders of the three records made once per request or placement (``model.slot_setters``).
 _new = object.__new__
-_set_request_id, _set_app, _set_input_node, _set_requirement = (
-    getattr(PlacementRequest, f.name).__set__ for f in fields(PlacementRequest)
-)
-_set_request, _set_placement = (getattr(RequestOutcome, f.name).__set__ for f in fields(RequestOutcome))
+_set_request_id, _set_app, _set_input_node, _set_requirement = slot_setters(PlacementRequest)
+_set_request, _set_placement = slot_setters(RequestOutcome)
 (
     _set_placement_request_id, _set_device_id, _set_tier, _set_variant_class, _set_path_link_ids,
     _set_response_time, _set_price, _set_granted_bound, _set_resource_demand, _set_bandwidth_demand,
-) = (getattr(Placement, f.name).__set__ for f in fields(Placement))
+) = slot_setters(Placement)
 
 
 def _placement_request(id, app, input_node, requirement) -> PlacementRequest:
@@ -232,24 +229,29 @@ class CandidateTable(dict):
     values, so that a bound admits a prefix that ``bisect`` finds.  A view
     is built on first use of its kind (``table[kind]``).  Entries whose
     response time or price is not finite (a transfer term that overflows)
-    are left out of the views: such a candidate passes no bound or cannot
-    be ranked, so it is never placed.  The LP exporter keeps the state-free
-    part of the table's models in ``lp_skeleton``, built from a view's
-    entries on first export.
+    are left out of the views (``finite`` lists the rest once): such a
+    candidate passes no bound or cannot be ranked, so it is never placed.
+    The LP exporter keeps the state-free part of the table's models in
+    ``lp_skeleton``, built from ``finite`` on first export.
     """
 
-    __slots__ = ("entries", "lp_skeleton")
+    __slots__ = ("entries", "finite", "lp_skeleton")
 
     def __init__(self, entries: tuple[TableEntry, ...]):
         self.entries = entries
+        isfinite = math.isfinite
+        self.finite = [e for e in entries if isfinite(e.response_time) and isfinite(e.price)]
         self.lp_skeleton = None
 
     def __missing__(self, kind: RequirementKind) -> tuple[list[float], list[TableEntry]]:
         metric = KIND_METRICS[kind][0]
-        finite = (e for e in self.entries if math.isfinite(e.response_time) and math.isfinite(e.price))
-        ordered = sorted(finite, key=metric)
+        ordered = sorted(self.finite, key=metric)
         view = self[kind] = [metric(e) for e in ordered], ordered
         return view
+
+
+# A TableEntry straight from its field tuple, without the Python-level __new__ that NamedTuple generates.
+_new_entry = tuple.__new__
 
 
 def _table(topology: Topology, input_node: InputNode, app: AppType) -> CandidateTable:
@@ -258,7 +260,7 @@ def _table(topology: Topology, input_node: InputNode, app: AppType) -> Candidate
     if table is None:
         # One walk up the root path, extending the link ids and price terms by one link per level.
         per_link = per_link_time(app)
-        devices, variant_for = topology.devices, app.variant_for
+        sites, devices, variant_for = topology.sites, topology.devices, app.variant_by_class.get
         link_ids: tuple[str, ...] = ()
         link_terms: tuple[float, ...] = ()
         entries = []
@@ -267,16 +269,16 @@ def _table(topology: Topology, input_node: InputNode, app: AppType) -> Candidate
                 link = path[-1]
                 link_ids += (link.id,)
                 link_terms += (link_price(link, app),)
-            for device_id in topology.sites[site_id].devices:
+            for device_id in sites[site_id].devices:
                 device = devices[device_id]
                 variant = variant_for(device.device_class)
                 if variant is not None:
-                    entries.append(TableEntry(
+                    entries.append(_new_entry(TableEntry, (
                         app, device, variant, path,
                         path_response_time(variant, len(path), per_link),
                         path_price(device_price(device, variant), link_terms),
                         link_ids,
-                    ))
+                    )))
         table = topology.candidate_tables[key] = CandidateTable(tuple(entries))
     return table
 

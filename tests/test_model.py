@@ -1,21 +1,35 @@
 import dataclasses
 import hashlib
+import inspect
+import pickle
+from itertools import product
 
 import pytest
 
 from edge_placer.model import (
+    CLASS_ORDER,
     DeviceClass,
+    DeviceNode,
     FleetSpec,
+    InputNode,
+    Link,
     LinkSpec,
+    Site,
     Tier,
     TierSpec,
+    Topology,
     TopologySpec,
     ValidationError,
+    _device_node,
+    _input_node,
+    _link,
+    _site,
     build_topology,
     root_path_sites,
     topology_spec_errors,
     uplink_path,
 )
+from edge_placer.scenario import cost_performance_demo_scenario, paper_scenario
 
 
 def make_spec(cloud=1, carrier=1, user=1, inputs=1, fleet_count=1):
@@ -59,6 +73,100 @@ def canonical_dump(topology):
     return "\n".join(lines)
 
 
+def reference_build_topology(spec):
+    """The constructor loop that ``build_topology`` replaced, kept as its reference: each record through ``__init__``."""
+    errors = topology_spec_errors(spec)
+    if errors:
+        raise ValidationError("invalid topology spec: " + "; ".join(errors))
+    sites, devices, links = {}, {}, {}
+    parents = []
+    for tier, tier_spec, link_spec in (
+        (Tier.CLOUD, spec.cloud, None),
+        (Tier.CARRIER_EDGE, spec.carrier, spec.carrier_cloud_link),
+        (Tier.USER_EDGE, spec.user, spec.user_carrier_link),
+    ):
+        fleet = sorted(tier_spec.fleet, key=lambda e: CLASS_ORDER.index(e.device_class))
+        per_parent = tier_spec.sites // len(parents) if parents else 0
+        ids = []
+        for i in range(tier_spec.sites):
+            site_id = f"{tier.value}{i:03d}"
+            site_devices = []
+            for entry in fleet:
+                for j in range(entry.count):
+                    device_id = f"{site_id}_{entry.device_class.value}{j:02d}"
+                    devices[device_id] = DeviceNode(
+                        device_id, site_id, tier, entry.device_class, entry.capacity, entry.full_cost
+                    )
+                    site_devices.append(device_id)
+            sites[site_id] = Site(site_id, tier, tuple(site_devices))
+            if parents:
+                parent = parents[i // per_parent]
+                link_id = f"link_{site_id}_{parent}"
+                links[link_id] = Link(link_id, site_id, parent, link_spec.bandwidth_capacity, link_spec.monthly_cost)
+            ids.append(site_id)
+        parents = ids
+    per_user = spec.input_nodes // len(parents) if parents else 0
+    input_nodes = {}
+    for n in range(spec.input_nodes):
+        input_id = f"input{n:03d}"
+        input_nodes[input_id] = InputNode(input_id, parents[n // per_user])
+    return Topology(sites=sites, devices=devices, links=links, input_nodes=input_nodes)
+
+
+def check_build_topology(spec) -> int:
+    """Assert that ``build_topology(spec)`` is the reference's topology; return the number of records compared.
+
+    Dict equality ignores key order, which ``ResidualState.fresh`` and the
+    traces depend on, so each mapping's keys are compared as lists, and
+    each record by type, ``==`` and ``repr`` (a ``Site``'s ``==`` compares
+    its ``devices`` tuple, in order).
+    """
+    built, reference = build_topology(spec), reference_build_topology(spec)
+    compared = 0
+    for name in ("sites", "devices", "links", "input_nodes"):
+        got, want = getattr(built, name), getattr(reference, name)
+        assert list(got) == list(want), f"{name}: keys differ from the reference's, or their order does"
+        for key, record in want.items():
+            assert type(got[key]) is type(record) and got[key] == record and repr(got[key]) == repr(record), key
+            compared += 1
+    return compared
+
+
+# Fleets for the reference specs: none, a zero-count entry, classes out of CLASS_ORDER, 101 servers of one class.
+REFERENCE_FLEETS = (
+    (),
+    (FleetSpec(DeviceClass.CPU, 0, 10.0, 1000.0),),
+    (FleetSpec(DeviceClass.FPGA, 1, 100.0, 9000.0), FleetSpec(DeviceClass.GPU, 0, 8.0, 5000.0),
+     FleetSpec(DeviceClass.CPU, 3, 2.5, 0.0)),
+    (FleetSpec(DeviceClass.GPU, 2, 16.0, 100000.0), FleetSpec(DeviceClass.CPU, 1, 64.0, 300.0)),
+    (FleetSpec(DeviceClass.CPU, 101, 10.0, 1000.0), FleetSpec(DeviceClass.GPU, 1, 4.0, 750.0)),
+)
+
+
+def reference_specs():
+    """A fixed set of 1080 buildable specs for ``check_build_topology``.
+
+    1-3 cloud sites, 0, 1 or 4 carrier sites per cloud site, 0, 1 or 3
+    user sites per carrier site and 0, 1, 5 or 100 inputs per user site.
+    Each shape is built with the fleets rotated over the three tiers by one
+    and by two places, so every fleet meets every tier; the largest shapes
+    have 3600 inputs.
+    """
+    links = {"user_carrier_link": LinkSpec(30.0, 5000.0), "carrier_cloud_link": LinkSpec(100.0, 8000.0)}
+    for cloud, carriers, users, inputs in product((1, 2, 3), (0, 1, 4), (0, 1, 3), (0, 1, 5, 100)):
+        carrier = cloud * carriers
+        user = carrier * users
+        for f, step in product(range(len(REFERENCE_FLEETS)), (1, 2)):
+            fleet = [REFERENCE_FLEETS[(f + step * t) % len(REFERENCE_FLEETS)] for t in range(3)]
+            yield TopologySpec(TierSpec(cloud, fleet[0]), TierSpec(carrier, fleet[1]), TierSpec(user, fleet[2]),
+                               user * inputs, **links)
+
+
+def check_reference_specs() -> int:
+    """``check_build_topology`` on every ``reference_specs()``; the number of records compared."""
+    return sum(check_build_topology(spec) for spec in reference_specs())
+
+
 class TestTopologyDigest:
     """Pins every id, field and insertion order of built topologies (sha256 taken before build_topology's rewrite)."""
 
@@ -70,6 +178,65 @@ class TestTopologyDigest:
     def test_canonical_dump_digest(self, paper, name, digest):
         spec = {"paper": paper.topology_spec(), "cloud_only": CLOUD_ONLY, "fpga_first": FPGA_FIRST}[name]
         assert hashlib.sha256(canonical_dump(build_topology(spec)).encode()).hexdigest() == digest
+
+
+class TestReferenceBuilder:
+    """``build_topology`` against the constructor loop it replaced; CI runs every ``reference_specs()`` as its own step."""
+
+    @pytest.mark.parametrize("scenario", [paper_scenario, cost_performance_demo_scenario])
+    def test_presets_equal_the_reference(self, scenario):
+        assert check_build_topology(scenario().topology_spec()) > 0
+
+    def test_every_ninth_reference_spec_equals_the_reference(self):
+        specs = list(reference_specs())[::9]
+        assert sum(check_build_topology(spec) for spec in specs) > 0
+
+    def test_check_notices_key_order(self, monkeypatch):
+        spec = make_spec(cloud=1, carrier=2, user=2, inputs=2)
+        topology = build_topology(spec)
+        reordered = dataclasses.replace(topology, sites=dict(reversed(topology.sites.items())))
+        assert reordered == topology  # dict equality ignores order; the check must not
+        monkeypatch.setattr("test_model.build_topology", lambda spec: reordered)
+        with pytest.raises(AssertionError, match="sites: keys differ"):
+            check_build_topology(spec)
+
+
+class TestTopologyRecords:
+    @pytest.mark.parametrize("record_type", [DeviceNode, Link, Site, InputNode])
+    def test_slotted_records_stay_frozen(self, record_type, paper_topology):
+        mapping = {DeviceNode: paper_topology.devices, Link: paper_topology.links,
+                   Site: paper_topology.sites, InputNode: paper_topology.input_nodes}[record_type]
+        record = next(iter(mapping.values()))
+        assert type(record) is record_type and not hasattr(record, "__dict__")
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is record_type and copy == record and repr(copy) == repr(record)
+        changed = dataclasses.replace(record, id="other")
+        assert type(changed) is record_type and changed.id == "other" and changed != record
+        assert dataclasses.replace(changed, id=record.id) == record
+
+    @pytest.mark.parametrize("record_type, builder", [
+        (DeviceNode, _device_node), (Link, _link), (Site, _site), (InputNode, _input_node),
+    ])
+    def test_builders_equal_their_constructors(self, record_type, builder):
+        names = [f.name for f in dataclasses.fields(record_type)]
+        # One parameter per field, in field order: a new field fails here.
+        assert list(inspect.signature(builder).parameters) == names
+        values = [f"{name}-value" for name in names]
+        built, constructed = builder(*values), record_type(*values)
+        assert type(built) is record_type and not hasattr(built, "__dict__")
+        assert built == constructed and repr(built) == repr(constructed) and hash(built) == hash(constructed)
+        assert [getattr(built, name) for name in names] == values
+        copy = pickle.loads(pickle.dumps(built))
+        assert type(copy) is record_type and copy == constructed and hash(copy) == hash(constructed)
+        for name in names:
+            changed = dataclasses.replace(built, **{name: "other"})
+            assert changed == dataclasses.replace(constructed, **{name: "other"}) and changed != built
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, name, "other")
+        assert [getattr(built, name) for name in names] == values
 
 
 class TestBuildTopology:

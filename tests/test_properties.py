@@ -1,5 +1,6 @@
 """Property tests: the splitmix64 lane blocks against the scalar reference,
-build_topology against topology_spec_errors, the scenario text round trip,
+build_topology against topology_spec_errors and against the reference builder,
+the scenario text round trip,
 the solver against an oracle, monotone escalation, residual conservation along seeded streams,
 whole seeded streams against a reference engine, the LP text of states taking turns on one topology,
 and the CLI's exit codes on mutated scenario text."""
@@ -13,7 +14,7 @@ import tempfile
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from edge_placer.cli import main  # noqa: E402
 from edge_placer.lp_export import IlpModel, build_ilp, to_lp_text  # noqa: E402
@@ -58,6 +59,7 @@ from test_simulator import (  # noqa: E402
     assert_stream_matches_reference,
     check_splitmix64,
 )
+from test_model import check_build_topology  # noqa: E402
 from test_solver import TOL, oracle_solve  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -70,11 +72,11 @@ def test_splitmix64_lane_blocks_equal_the_scalar_reference(seed, count):
 
 
 @st.composite
-def fleets(draw, sound):
+def fleets(draw, sound, counts=None):
     capacities = st.sampled_from([2.5, 10.0, 64.0] + ([] if sound else [0.0, -1.0, math.inf, math.nan]))
     costs = st.sampled_from([0.0, 300.0, 9000.0] + ([] if sound else [-1.0, math.inf, math.nan]))
     classes = draw(st.permutations(list(DeviceClass)))[: draw(st.integers(0, 3))]
-    counts = st.integers(0 if sound else -1, 3)
+    counts = st.integers(0 if sound else -1, 3) if counts is None else counts
     return tuple(FleetSpec(cls, draw(counts), draw(capacities), draw(costs)) for cls in classes)
 
 
@@ -135,6 +137,38 @@ def test_build_topology_follows_spec_errors(spec):
     assert len(attached) == spec.input_nodes
     if attached:
         assert attached == [u for u in users for _ in range(spec.input_nodes // len(users))]
+
+
+@st.composite
+def wide_topology_specs(draw):
+    """Buildable specs with zero-count fleet entries, up to 120 servers of one class per site and up to 1200 inputs."""
+    cloud = draw(st.integers(1, 3))
+    carrier = cloud * draw(st.integers(0, 3))
+    user = carrier * draw(st.integers(0, 3))
+    inputs = user * draw(st.integers(0, 3) | st.integers(1000 // user + 1, 1200 // user)) if user else 0
+    counts = st.integers(0, 3) | st.integers(99, 120)
+    return TopologySpec(
+        cloud=TierSpec(cloud, draw(fleets(True, counts))),
+        carrier=TierSpec(carrier, draw(fleets(True, counts))),
+        user=TierSpec(user, draw(fleets(True, counts))),
+        input_nodes=inputs,
+        user_carrier_link=LinkSpec(30.0, 5000.0),
+        carrier_cloud_link=LinkSpec(100.0, 8000.0),
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(wide_topology_specs())
+@example(TopologySpec(  # a zero-count entry, ids from _cpu99 to _cpu100, 1200 inputs
+    cloud=TierSpec(1, (FleetSpec(DeviceClass.GPU, 0, 16.0, 0.0), FleetSpec(DeviceClass.CPU, 101, 10.0, 300.0))),
+    carrier=TierSpec(2, (FleetSpec(DeviceClass.FPGA, 1, 100.0, 9000.0),)),
+    user=TierSpec(4, (FleetSpec(DeviceClass.CPU, 120, 2.5, 0.0),)),
+    input_nodes=1200,
+    user_carrier_link=LinkSpec(30.0, 5000.0),
+    carrier_cloud_link=LinkSpec(100.0, 8000.0),
+))
+def test_build_topology_equals_the_reference_builder(spec):
+    check_build_topology(spec)
 
 
 names = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)

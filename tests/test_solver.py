@@ -190,6 +190,26 @@ class TestEscalation:
         assert not outcome.placed
         assert feasible_candidates(paper_topology, state, request, Bound(kind, 1e300)) == []
 
+    def test_non_finite_price_never_placed(self):
+        # The user-edge CPU's price overflows (full cost x demand / capacity), yet the demand fits its
+        # capacity within TOLERANCE; its response time is the least.
+        cpu = FleetSpec(DeviceClass.CPU, 1, 100.0, 1000.0)
+        topology = build_topology(TopologySpec(
+            cloud=TierSpec(sites=1, fleet=(cpu,)),
+            carrier=TierSpec(sites=1, fleet=(cpu,)),
+            user=TierSpec(sites=1, fleet=(dataclasses.replace(cpu, capacity=1e-300, full_cost=1e20),)),
+            input_nodes=1,
+            user_carrier_link=LinkSpec(30.0, 100.0),
+            carrier_cloud_link=LinkSpec(100.0, 100.0),
+        ))
+        app = AppType("probe", 1.0, 1.0, (AppVariant(DeviceClass.CPU, 5.0, 1e-9),))
+        assert candidate_table(topology, topology.input_nodes["input000"], app)[0].price == math.inf
+        # The first rung admits only the user edge's response time (5 s); the carrier's is 13 s.
+        requirement = Requirement(RequirementKind.DEADLINE, (6.0, 100.0))
+        request = PlacementRequest(1, app, topology.input_nodes["input000"], requirement)
+        placement = solve_request(topology, ResidualState.fresh(topology), request, requirement)
+        assert placement.device_id == "carrier000_cpu00" and placement.granted_bound.value == 100.0
+
 
 class TestApplyPlacement:
     def test_residual_bookkeeping(self, paper, paper_topology):
