@@ -20,18 +20,29 @@ Everything but the model name and the right-hand sides is state-free, so
 it is built once per candidate table, lazily, and cached on it with its
 LP text rendered (``CandidateTable.lp_skeleton``); both bound kinds share
 it, taking their objective and bound terms by ``solver.KIND_METRICS``.
+Its text is put together from pieces formatted once each: a device's
+variable name and ``cap_`` row head once per topology
+(``Topology.lp_device_text``), each distinct metric or demand value once
+per skeleton, and the coefficient of a row whose coefficients are all
+equal (the ``assign`` and link rows) once per row.
+
 The skeleton also keeps the last model's residual rows, each paired with
 its rendered line, and reuses a row and its line while the row's residual
-is the same float object: a residual row's line is formatted only when its
-residual changes.  Each ``build_ilp`` call fills in the name, the bound
-value and the residuals, and joins the text of the model's ``Subject To``
-block from those lines, so ``to_lp_text`` formats only the header and the
-model name, and the text of a model is that of the state it was built on.
+is the same float object.  A residual row's line is a prefix that ends in
+``<= ``, then the residual.  The skeleton is built with the rows of the
+model being built, formatting each distinct residual once; after that, a
+row whose residual changes costs one format of the residual and one new
+row, on the prefix that its last line holds up to the last space.  Each
+``build_ilp`` call fills in the name, the bound value and the residuals,
+and joins the text of the model's ``Subject To`` block from those lines,
+so ``to_lp_text`` formats only the header and the model name, and the
+text of a model is that of the state it was built on.
 """
 
 from __future__ import annotations
 
-import sys
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .model import Topology
@@ -58,20 +69,18 @@ class _Rendered(tuple):
     """A tuple of a model that carries its LP text, rendered once.
 
     It compares and hashes as the plain tuple of its items.  A skeleton's
-    objective, bound and link terms and its binaries carry theirs; a built
-    model's rows carry the text of its ``Subject To`` block.  The device
-    rows' terms do not: an instance dict on each retained about 0.6 MB more
-    over the 120 tables of the paper preset's LP-export stream, to save one
-    format per re-rendered row.
+    objective and bound terms and its binaries carry theirs; a built
+    model's rows carry the text of its ``Subject To`` block.  The terms of
+    the ``assign``, device and link rows carry none: their text is part of
+    the rows' lines, which the skeleton keeps.
     """
 
     text: str
 
 
-def _rendered(items, render) -> _Rendered:
-    items = tuple(items)
+def _rendered(items: tuple, text: str) -> _Rendered:
     rendered = _Rendered(items)
-    rendered.text = render(items)
+    rendered.text = text
     return rendered
 
 
@@ -83,40 +92,95 @@ class _Skeleton(NamedTuple):
     assign_line: str
     device_ids: tuple[str, ...]  # the residuals of the device rows,
     link_ids: tuple[str, ...]  # then of the link rows
-    residual_rows: list[tuple[LpRow, str]]  # the last model's device and link rows, each with its line; None before
+    residual_rows: list[tuple[LpRow, str]]  # the last model's device and link rows, each with its line
     binaries: _Rendered
 
 
+# A row or model straight from its field tuple, without the Python-level __new__ that NamedTuple generates.
+_new = tuple.__new__
+_DEVICE_ID = attrgetter("device.id")
+
+
 def variable_name(device_id: str, variant_class) -> str:
-    # Interned: the tables of one topology share devices, so the names repeat.
-    return sys.intern(f"x_{device_id}_{variant_class.value}")
+    return f"x_{device_id}_{variant_class.value}"
 
 
-def _skeleton(finite: list[TableEntry], bandwidth_demand: float) -> _Skeleton:
-    """Variables ordered by device id then variant class, so identical inputs give identical models."""
-    entries = sorted(finite, key=lambda e: (e.device.id, e.variant.device_class.value))
-    names = [variable_name(e.device.id, e.variant.device_class) for e in entries]
-    link_terms: dict[str, list[Term]] = {}
+def _texts(values: list[float]) -> list[str]:
+    """The ``.12g`` text of each value, formatting each distinct value once.
+
+    0.0 and -0.0 are one dict key but render as ``0`` and ``-0``, so zeros
+    are formatted one by one.
+    """
+    texts = {value: f"{value:.12g}" for value in set(values)}
+    return [texts[value] if value else f"{value:.12g}" for value in values]
+
+
+def _uniform_terms(names: list[str], coef: float) -> str:
+    """``_terms`` of every name with the same coefficient: its one format joined over the names."""
+    if not names:
+        return "0 x_none"
+    first = f"{coef:.12g}"
+    between = f" - {-coef:.12g} " if coef < 0 else f" + {first} "
+    return f"{first} {between.join(names)}"
+
+
+def _varied_terms(names: list[str], coefs: list[float]) -> str:
+    """``_terms`` of the names with their coefficients, formatting each distinct coefficient once."""
+    if not names:
+        return "0 x_none"
+    texts = _texts(coefs)  # a negative coefficient's text is "-" and the text of its magnitude
+    terms = [f"{texts[0]} {names[0]}"]
+    terms += [f" - {text[1:]} {var}" if coef < 0 else f" + {text} {var}"
+              for var, coef, text in zip(names[1:], coefs[1:], texts[1:])]
+    return "".join(terms)
+
+
+def _skeleton(
+    device_text: dict, finite: list[TableEntry], bandwidth_demand: float, state: ResidualState,
+) -> _Skeleton:
+    """The skeleton, with the residual rows of a model on ``state``.
+
+    Variables are ordered by device id (a table lists each device once), so
+    identical inputs give identical models.
+    """
+    entries = sorted(finite, key=_DEVICE_ID)
+    device_ids = tuple([entry.device.id for entry in entries])
+    texts = []  # each entry's variable name, row name and row head, made once per topology
+    for device_id, entry in zip(device_ids, entries):
+        text = device_text.get(device_id)
+        if text is None:
+            name = f"cap_{device_id}"
+            text = device_text[device_id] = (variable_name(device_id, entry.variant.device_class), name, f" {name}: ")
+        texts.append(text)
+    names = [var for var, _, _ in texts]
+    link_names: dict[str, list[str]] = {}
     for var, entry in zip(names, entries):
-        term = (var, bandwidth_demand)
-        for link in entry.path:
-            link_terms.setdefault(link.id, []).append(term)
-    link_ids = sorted(link_terms)
-    assign = LpRow("assign", _rendered(((var, 1.0) for var in names), _terms), "=", 1.0)
+        for link_id in entry.link_ids:
+            link_names.setdefault(link_id, []).append(var)
+    link_ids = tuple(sorted(link_names))
+
+    demands = [entry.variant.resource_demand for entry in entries]
+    rows = [(name, ((var, demand),)) for (var, name, _), demand in zip(texts, demands)]
+    prefixes = [f"{head}{text} {var} <= " for (var, _, head), text in zip(texts, _texts(demands))]
+    for link_id in link_ids:
+        link_vars = link_names[link_id]
+        rows.append((f"cap_{link_id}", tuple(zip(link_vars, repeat(bandwidth_demand)))))
+        prefixes.append(f" cap_{link_id}: {_uniform_terms(link_vars, bandwidth_demand)} <= ")
+    residuals = _residuals(state, device_ids, link_ids)
+
+    metric_terms = {}
+    for metric in {metric for pair in KIND_METRICS.values() for metric in pair}:
+        coefs = list(map(metric, entries))
+        metric_terms[metric] = _rendered(tuple(zip(names, coefs)), _varied_terms(names, coefs))
     return _Skeleton(
-        terms={metric: _rendered(zip(names, map(metric, entries)), _terms)
-               for metric in {metric for pair in KIND_METRICS.values() for metric in pair}},
-        assign=assign,
-        assign_line=_line(assign),
-        device_ids=tuple(e.device.id for e in entries),
-        link_ids=tuple(link_ids),
-        residual_rows=[  # row names repeat across tables like variable names
-            *((LpRow(sys.intern(f"cap_{e.device.id}"), ((var, e.variant.resource_demand),), "<=", None), None)
-              for var, e in zip(names, entries)),
-            *((LpRow(f"cap_{link_id}", _rendered(link_terms[link_id], _terms), "<=", None), None)
-              for link_id in link_ids),
-        ],
-        binaries=_rendered(names, _binaries),
+        terms=metric_terms,
+        assign=LpRow("assign", tuple(zip(names, repeat(1.0))), "=", 1.0),
+        assign_line=f" assign: {_uniform_terms(names, 1.0)} = 1",
+        device_ids=device_ids,
+        link_ids=link_ids,
+        residual_rows=[(_new(LpRow, (name, terms, "<=", rhs)), prefix + text)
+                       for (name, terms), prefix, rhs, text in zip(rows, prefixes, residuals, _texts(residuals))],
+        binaries=_rendered(tuple(names), _binaries(names)),
     )
 
 
@@ -130,26 +194,32 @@ def build_ilp(
     table = _table(topology, request.input_node, request.app)
     skeleton = table.lp_skeleton
     if skeleton is None:
-        skeleton = table.lp_skeleton = _skeleton(table.finite, request.app.bandwidth_demand)
+        skeleton = table.lp_skeleton = _skeleton(topology.lp_device_text, table.finite, request.app.bandwidth_demand,
+                                                 state)
     bounded, minimized = KIND_METRICS[bound.kind]
-    device_remaining = state.device_remaining
-    link_remaining = state.link_remaining
-    residuals = [device_remaining[device_id] for device_id in skeleton.device_ids]
-    residuals += [link_remaining[link_id] for link_id in skeleton.link_ids]
+    residuals = _residuals(state, skeleton.device_ids, skeleton.link_ids)
     # Each row is checked against this state's residual, and a row and its line are read and
     # replaced as one slot, so threads never use another state's row or line.
-    slots = [slot if slot[0].rhs is rhs else _slot(slot[0], rhs)
+    slots = [slot if slot[0].rhs is rhs else _slot(slot, rhs)
              for slot, rhs in zip(skeleton.residual_rows, residuals)]
     skeleton.residual_rows[:] = slots
-    bound_row = LpRow("bound", skeleton.terms[bounded], "<=", bound.value)
+    bound_row = _new(LpRow, ("bound", skeleton.terms[bounded], "<=", bound.value))
     rows = _Rendered((skeleton.assign, bound_row, *[row for row, _ in slots]))
     rows.text = "\n".join([skeleton.assign_line, _line(bound_row), *[line for _, line in slots]])
-    return IlpModel(f"request{request.id}_{bound.kind.value}", skeleton.terms[minimized], rows, skeleton.binaries)
+    return _new(IlpModel, (f"request{request.id}_{bound.kind.value}", skeleton.terms[minimized], rows,
+                           skeleton.binaries))
 
 
-def _slot(row: LpRow, rhs: float) -> tuple[LpRow, str]:
-    row = LpRow(row.name, row.terms, "<=", rhs)
-    return row, _line(row)
+def _residuals(state: ResidualState, device_ids: tuple[str, ...], link_ids: tuple[str, ...]) -> list[float]:
+    residuals = [state.device_remaining[device_id] for device_id in device_ids]
+    residuals += [state.link_remaining[link_id] for link_id in link_ids]
+    return residuals
+
+
+def _slot(slot: tuple[LpRow, str], rhs: float) -> tuple[LpRow, str]:
+    """The slot's row and line at ``rhs``: the line up to its last space is the prefix, which ends in "<= "."""
+    row, line = slot
+    return _new(LpRow, (row.name, row.terms, "<=", rhs)), f"{line[:line.rindex(' ') + 1]}{rhs:.12g}"
 
 
 def _terms(terms: tuple[Term, ...]) -> str:
@@ -171,7 +241,7 @@ def _line(row: LpRow) -> str:
 def _binaries(names: tuple[str, ...]) -> str:
     if type(names) is _Rendered:
         return names.text
-    return "".join(f" {var}\n" for var in names)
+    return "".join([f" {var}\n" for var in names])
 
 
 def to_lp_text(model: IlpModel) -> str:

@@ -8,8 +8,8 @@ user edge and the hosting site are the ones a placement occupies.
 
 Topologies are immutable after construction and safe to share across
 threads.  Their only mutable part is a lazily filled cache of derived
-lookups (``uplink_by_child``, ``candidate_tables``); a race between
-threads only recomputes an identical entry.
+lookups (``uplink_by_child``, ``candidate_tables``, ``lp_device_text``);
+a race between threads only recomputes an identical entry.
 """
 
 from __future__ import annotations
@@ -111,6 +111,11 @@ class Topology:
     @cached_property
     def candidate_tables(self) -> dict:
         """(user edge id, app) -> ``solver.CandidateTable``, filled by the solver on first use."""
+        return {}
+
+    @cached_property
+    def lp_device_text(self) -> dict:
+        """Device id -> its LP variable name, ``cap_`` row name and row head, filled by the LP exporter on first use."""
         return {}
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from edge_placer.lp_export import IlpModel, LpRow, build_ilp, to_lp_text, variable_name
 from edge_placer.model import DeviceClass, FleetSpec, LinkSpec, TierSpec, TopologySpec, build_topology
+from edge_placer.pricing import AppType, AppVariant
 from edge_placer.simulator import PatternKind, generate_requests
 from edge_placer.solver import (
     Bound,
+    CandidateTable,
     PlacementRequest,
     Requirement,
     RequirementKind,
@@ -100,6 +102,15 @@ def enumerate_optimum(text):
             if best is None or value < best:
                 best = value
     return best
+
+
+def plain_text(model):
+    """The text of ``model`` rebuilt of plain tuples, so that every row and term goes through the row formatter."""
+    plain = IlpModel(model.name, tuple(model.objective),
+                     tuple(LpRow(row.name, tuple(row.terms), row.sense, row.rhs) for row in model.rows),
+                     tuple(model.binaries))
+    assert plain == model and {type(plain.objective), type(plain.rows), type(plain.binaries)} == {tuple}
+    return to_lp_text(plain)
 
 
 def paper_request(paper, paper_topology, index=1, pattern=PatternKind.PATTERN2, seed=42):
@@ -415,6 +426,23 @@ class TestSkeletonCache:
                            tuple(model.binaries))
         assert by_hand == model and type(by_hand.rows) is tuple
         assert to_lp_text(by_hand) == to_lp_text(model)
+
+    @pytest.mark.parametrize("kind", list(RequirementKind))
+    def test_signed_zero_and_negative_coefficients(self, kind):
+        # Metrics set by hand: 0.0 and -0.0 are equal but render as "0" and "-0", and a negative
+        # coefficient renders as "-c" first and as " - c" after the first.
+        topology = small_topology()
+        app = AppType("signed", 0.0, 1.0, (AppVariant(DeviceClass.CPU, 5.0, 5.0),))
+        node = topology.input_nodes["input000"]
+        entries = candidate_table(topology, node, app)  # user, carrier, cloud
+        request = PlacementRequest(1, app, node, Requirement(kind, (1.0,)))
+        for prices, times in [((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)), ((0.1 + 0.2, -2.5, -2.5), (3.0, -1e300, 5e-324))]:
+            topology.candidate_tables[("user000", app)] = CandidateTable(tuple(
+                entry._replace(price=price, response_time=time) for entry, price, time in zip(entries, prices, times)
+            ))
+            model = build_ilp(topology, ResidualState.fresh(topology), request, Bound(kind, 1.0))
+            assert to_lp_text(model) == plain_text(model)
+        assert " -2.5 x_carrier000_cpu00_cpu - 2.5 x_cloud000_cpu00_cpu + 0.3 x_user000_cpu00_cpu" in to_lp_text(model)
 
     def test_residual_rows_follow_the_state(self, paper):
         topology = build_topology(paper.topology_spec())

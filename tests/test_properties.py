@@ -3,6 +3,7 @@ build_topology against topology_spec_errors and against the reference builder,
 the scenario text round trip,
 the solver against an oracle, monotone escalation, residual conservation along seeded streams,
 whole seeded streams against a reference engine, the LP text of states taking turns on one topology,
+the LP text of every model against that of its plain tuples,
 and the CLI's exit codes on mutated scenario text."""
 
 import dataclasses
@@ -60,6 +61,7 @@ from test_simulator import (  # noqa: E402
     check_splitmix64,
 )
 from test_model import check_build_topology  # noqa: E402
+from test_lp_export import plain_text  # noqa: E402
 from test_solver import TOL, oracle_solve  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -503,6 +505,41 @@ def test_lp_text_of_states_taking_turns_is_the_cold_text(case):
             assert len(skeleton.residual_rows) == len(skeleton.device_ids) + len(skeleton.link_ids)
             for row, line in skeleton.residual_rows:
                 assert f"Subject To\n{line}\nBinary" in to_lp_text(IlpModel("", (), (row,), ()))
+
+
+# Residuals that render apart from a value they equal (-0.0), are subnormal, huge, infinite or not a
+# number, or that .12g rounds.
+EDGE_RESIDUALS = [5e-324, -5e-324, 2.5e-310, 1e300, -1e300, math.inf, math.nan, 0.1 + 0.2, 1 / 3,
+                  123456789012.5, 9.9999999999995, -2.0000000000004]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(seeded_streams(), st.lists(st.sampled_from(EDGE_RESIDUALS) | st.floats(), max_size=6))
+def test_rendered_models_read_as_their_plain_tuples(case, drawn):
+    # Each model, from a cold build or a reused skeleton, renders as the same model rebuilt of plain
+    # tuples.  Per request, a copy of the live state has the model's residuals driven to 0.0, -0.0 and
+    # the drawn values in turn, so zeros of both signs meet in one model, and the warm topology's
+    # skeletons switch between the two states.
+    spec, entries, pattern, seed = case
+    warm = build_topology(spec)
+    scenario = dataclasses.replace(paper_scenario(), apps=entries)  # given the topology, only apps are read
+    values = [0.0, -0.0, *drawn]
+    live = ResidualState.fresh(warm)
+    for request in generate_requests(scenario, pattern, 20, seed, topology=warm):
+        driven = ResidualState(dict(live.device_remaining), dict(live.link_remaining))
+        for bound in request.requirement.ladder():
+            model = build_ilp(warm, live, request, bound)
+            assert to_lp_text(model) == plain_text(model), request.id
+            for i, row in enumerate(model.rows[2:]):
+                key = row.name[len("cap_"):]
+                residuals = driven.device_remaining if key in driven.device_remaining else driven.link_remaining
+                residuals[key] = values[(i + request.id) % len(values)]
+            for topology in (warm, build_topology(spec)):
+                model = build_ilp(topology, driven, request, bound)
+                assert to_lp_text(model) == plain_text(model), request.id
+        placement = solve_with_escalation(warm, live, request).placement
+        if placement is not None:
+            apply_placement(live, placement)
 
 
 PRESET_TEXTS = [serialize_scenario(paper_scenario()), serialize_scenario(cost_performance_demo_scenario())]
