@@ -105,22 +105,27 @@ def variable_name(device_id: str, variant_class) -> str:
     return f"x_{device_id}_{variant_class.value}"
 
 
+def _number(value: float) -> str:
+    """The LP text of a number: every coefficient, right-hand side and bound value goes through here."""
+    return f"{value:.12g}"
+
+
 def _texts(values: list[float]) -> list[str]:
-    """The ``.12g`` text of each value, formatting each distinct value once.
+    """The ``_number`` text of each value, formatting each distinct value once.
 
     0.0 and -0.0 are one dict key but render as ``0`` and ``-0``, so zeros
     are formatted one by one.
     """
-    texts = {value: f"{value:.12g}" for value in set(values)}
-    return [texts[value] if value else f"{value:.12g}" for value in values]
+    texts = {value: _number(value) for value in set(values)}
+    return [texts[value] if value else _number(value) for value in values]
 
 
 def _uniform_terms(names: list[str], coef: float) -> str:
     """``_terms`` of every name with the same coefficient: its one format joined over the names."""
     if not names:
         return "0 x_none"
-    first = f"{coef:.12g}"
-    between = f" - {-coef:.12g} " if coef < 0 else f" + {first} "
+    first = _number(coef)
+    between = f" - {_number(-coef)} " if coef < 0 else f" + {first} "
     return f"{first} {between.join(names)}"
 
 
@@ -175,7 +180,7 @@ def _skeleton(
     return _Skeleton(
         terms=metric_terms,
         assign=LpRow("assign", tuple(zip(names, repeat(1.0))), "=", 1.0),
-        assign_line=f" assign: {_uniform_terms(names, 1.0)} = 1",
+        assign_line=f" assign: {_uniform_terms(names, 1.0)} = {_number(1.0)}",
         device_ids=device_ids,
         link_ids=link_ids,
         residual_rows=[(_new(LpRow, (name, terms, "<=", rhs)), prefix + text)
@@ -219,23 +224,17 @@ def _residuals(state: ResidualState, device_ids: tuple[str, ...], link_ids: tupl
 def _slot(slot: tuple[LpRow, str], rhs: float) -> tuple[LpRow, str]:
     """The slot's row and line at ``rhs``: the line up to its last space is the prefix, which ends in "<= "."""
     row, line = slot
-    return _new(LpRow, (row.name, row.terms, "<=", rhs)), f"{line[:line.rindex(' ') + 1]}{rhs:.12g}"
+    return _new(LpRow, (row.name, row.terms, "<=", rhs)), f"{line[:line.rindex(' ') + 1]}{_number(rhs)}"
 
 
 def _terms(terms: tuple[Term, ...]) -> str:
     if type(terms) is _Rendered:
         return terms.text
-    if not terms:
-        return "0 x_none"
-    var, coef = terms[0]
-    text = f"{coef:.12g} {var}"
-    for var, coef in terms[1:]:
-        text += f" - {-coef:.12g} {var}" if coef < 0 else f" + {coef:.12g} {var}"
-    return text
+    return _varied_terms([var for var, _ in terms], [coef for _, coef in terms])
 
 
 def _line(row: LpRow) -> str:
-    return f" {row.name}: {_terms(row.terms)} {row.sense} {row.rhs:.12g}"
+    return f" {row.name}: {_terms(row.terms)} {row.sense} {_number(row.rhs)}"
 
 
 def _binaries(names: tuple[str, ...]) -> str:

@@ -205,63 +205,32 @@ def topology_spec_errors(spec: TopologySpec) -> list[str]:
 DEVICE_PREFIXES = {tier.value: tuple(f"{tier.value}{digit}" for digit in range(10)) for tier in Tier}
 
 
-def slot_setters(cls) -> tuple:
-    """The slot ``__set__`` of each field of a slotted dataclass, in field order.
+def slot_builder(cls):
+    """A function that builds a ``cls`` record from one positional argument per field, in field order.
 
-    A builder made of ``object.__new__`` plus these setters skips the
-    generated ``__init__``, which goes through ``object.__setattr__`` once
-    per field, at a fraction of its cost.  The class stays as declared, so
-    equality, hash, repr, pickling and ``dataclasses.replace`` do not
-    change.  Each builder unpacks the tuple into one name per field, so a
-    field added to a class and not to its builder fails at import.
+    It is compiled once from ``dataclasses.fields(cls)``, as ``dataclasses``
+    compiles ``__init__``: ``object.__new__(cls)``, then each field's slot
+    ``__set__``.  That is about half the cost of the generated ``__init__``,
+    which calls ``object.__setattr__`` per field.  The class is unchanged, so
+    equality, hash, repr, pickling and ``dataclasses.replace`` are too.  The
+    function's own names start with a prefix that no field name starts with.
     """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    names = [f.name for f in fields(cls)]
+    prefix = "_"
+    while any(name.startswith(prefix) for name in names):
+        prefix += "_"
+    namespace = {f"{prefix}new": object.__new__, f"{prefix}cls": cls}
+    namespace.update((f"{prefix}set{i}", getattr(cls, name).__set__) for i, name in enumerate(names))
+    record = f"{prefix}record"
+    lines = [f"def build_{cls.__name__}({', '.join(names)}):", f"    {record} = {prefix}new({prefix}cls)"]
+    lines += [f"    {prefix}set{i}({record}, {name})" for i, name in enumerate(names)]
+    lines.append(f"    return {record}")
+    exec("\n".join(lines), namespace)
+    return namespace[f"build_{cls.__name__}"]
 
 
 # Builders of the records build_topology makes, one per device, link, site and input node.
-_new = object.__new__
-(
-    _set_device_id, _set_device_site_id, _set_device_tier, _set_device_class, _set_capacity, _set_full_cost,
-) = slot_setters(DeviceNode)
-_set_link_id, _set_child_site, _set_parent_site, _set_bandwidth_capacity, _set_monthly_cost = slot_setters(Link)
-_set_site_id, _set_site_tier, _set_site_devices = slot_setters(Site)
-_set_input_id, _set_attached_user_edge = slot_setters(InputNode)
-
-
-def _device_node(id, site_id, tier, device_class, capacity, full_cost) -> DeviceNode:
-    device = _new(DeviceNode)
-    _set_device_id(device, id)
-    _set_device_site_id(device, site_id)
-    _set_device_tier(device, tier)
-    _set_device_class(device, device_class)
-    _set_capacity(device, capacity)
-    _set_full_cost(device, full_cost)
-    return device
-
-
-def _link(id, child_site, parent_site, bandwidth_capacity, monthly_cost) -> Link:
-    link = _new(Link)
-    _set_link_id(link, id)
-    _set_child_site(link, child_site)
-    _set_parent_site(link, parent_site)
-    _set_bandwidth_capacity(link, bandwidth_capacity)
-    _set_monthly_cost(link, monthly_cost)
-    return link
-
-
-def _site(id, tier, devices) -> Site:
-    site = _new(Site)
-    _set_site_id(site, id)
-    _set_site_tier(site, tier)
-    _set_site_devices(site, devices)
-    return site
-
-
-def _input_node(id, attached_user_edge) -> InputNode:
-    node = _new(InputNode)
-    _set_input_id(node, id)
-    _set_attached_user_edge(node, attached_user_edge)
-    return node
+_device_node, _link, _site, _input_node = map(slot_builder, (DeviceNode, Link, Site, InputNode))
 
 
 def build_topology(spec: TopologySpec) -> Topology:

@@ -14,7 +14,7 @@ maintained by the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .model import DeviceNode, DeviceClass, Link, ValidationError
@@ -81,7 +81,7 @@ class AppType:
         object.__setattr__(self, "_hash", hash(self._fields()))
 
     def _fields(self) -> tuple:
-        return (self.name, self.transfer_data_size, self.bandwidth_demand, self.variants)
+        return tuple([getattr(self, f.name) for f in fields(self)])
 
     def __hash__(self) -> int:
         return self._hash

@@ -42,7 +42,7 @@ from .model import (
     Topology,
     ValidationError,
     root_path,
-    slot_setters,
+    slot_builder,
 )
 from .pricing import (
     TOLERANCE,
@@ -135,48 +135,8 @@ class RequestOutcome:
         return self.placement is not None
 
 
-# Builders of the three records made once per request or placement (``model.slot_setters``).
-_new = object.__new__
-_set_request_id, _set_app, _set_input_node, _set_requirement = slot_setters(PlacementRequest)
-_set_request, _set_placement = slot_setters(RequestOutcome)
-(
-    _set_placement_request_id, _set_device_id, _set_tier, _set_variant_class, _set_path_link_ids,
-    _set_response_time, _set_price, _set_granted_bound, _set_resource_demand, _set_bandwidth_demand,
-) = slot_setters(Placement)
-
-
-def _placement_request(id, app, input_node, requirement) -> PlacementRequest:
-    request = _new(PlacementRequest)
-    _set_request_id(request, id)
-    _set_app(request, app)
-    _set_input_node(request, input_node)
-    _set_requirement(request, requirement)
-    return request
-
-
-def _outcome(request, placement) -> RequestOutcome:
-    outcome = _new(RequestOutcome)
-    _set_request(outcome, request)
-    _set_placement(outcome, placement)
-    return outcome
-
-
-def _placement(
-    request_id, device_id, tier, variant_class, path_link_ids,
-    response_time, price, granted_bound, resource_demand, bandwidth_demand,
-) -> Placement:
-    placement = _new(Placement)
-    _set_placement_request_id(placement, request_id)
-    _set_device_id(placement, device_id)
-    _set_tier(placement, tier)
-    _set_variant_class(placement, variant_class)
-    _set_path_link_ids(placement, path_link_ids)
-    _set_response_time(placement, response_time)
-    _set_price(placement, price)
-    _set_granted_bound(placement, granted_bound)
-    _set_resource_demand(placement, resource_demand)
-    _set_bandwidth_demand(placement, bandwidth_demand)
-    return placement
+# Builders of the three records made once per request or placement (``model.slot_builder``).
+_placement_request, _outcome, _placement = map(slot_builder, (PlacementRequest, RequestOutcome, Placement))
 
 
 @dataclass

@@ -26,10 +26,12 @@ from edge_placer.model import (
     _site,
     build_topology,
     root_path_sites,
+    slot_builder,
     topology_spec_errors,
     uplink_path,
 )
 from edge_placer.scenario import cost_performance_demo_scenario, paper_scenario
+from edge_placer.solver import Placement, PlacementRequest, RequestOutcome, _outcome, _placement, _placement_request
 
 
 def make_spec(cloud=1, carrier=1, user=1, inputs=1, fleet_count=1):
@@ -217,8 +219,11 @@ class TestTopologyRecords:
         assert type(changed) is record_type and changed.id == "other" and changed != record
         assert dataclasses.replace(changed, id=record.id) == record
 
+
+class TestSlotBuilder:
     @pytest.mark.parametrize("record_type, builder", [
         (DeviceNode, _device_node), (Link, _link), (Site, _site), (InputNode, _input_node),
+        (PlacementRequest, _placement_request), (RequestOutcome, _outcome), (Placement, _placement),
     ])
     def test_builders_equal_their_constructors(self, record_type, builder):
         names = [f.name for f in dataclasses.fields(record_type)]
@@ -236,6 +241,20 @@ class TestTopologyRecords:
             assert changed == dataclasses.replace(constructed, **{name: "other"}) and changed != built
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(built, name, "other")
+        assert [getattr(built, name) for name in names] == values
+
+    def test_fields_named_like_the_builders_own_names(self):
+        # Every name the builder of a plain record reads or binds, besides its parameters, becomes a field.
+        code = slot_builder(InputNode).__code__
+        own = sorted({*code.co_names, *code.co_varnames} - {"id", "attached_user_edge"})
+        record_type = dataclasses.make_dataclass("Record", ["record", "cls", "new", "self", *own],
+                                                 frozen=True, slots=True)
+        names = [f.name for f in dataclasses.fields(record_type)]
+        builder = slot_builder(record_type)
+        assert list(inspect.signature(builder).parameters) == names
+        values = [f"{name}-value" for name in names]
+        built = builder(*values)
+        assert type(built) is record_type and built == record_type(*values)
         assert [getattr(built, name) for name in names] == values
 
 
